@@ -12,13 +12,13 @@ import configparser
 import re
 from dataclasses import dataclass, field
 
+from . import datasets, features
 from .errors import ConfigError
 from .federation import STRATEGIES
 from .paillier import KEY_BITS_CHOICES
 
 SWEEP_KINDS = ("privacy", "hidden", "lr", "single")
-DATA_KINDS = ("blobs", "xor", "csv")
-PARTITION_KINDS = ("iid", "dirichlet")
+DATA_KINDS = datasets.KINDS + ("csv",)
 
 _SYNTHETIC_ONLY = ("dim", "samples", "seed", "separation", "noise")
 _CSV_ONLY = ("path", "label_column")
@@ -204,8 +204,8 @@ def _validate(cfg: ExperimentConfig, text: str, present: set[tuple[str, str]]) -
         check(d.separation >= 0, "data", "separation", "must be >= 0")
         check(d.noise >= 0, "data", "noise", "must be >= 0")
     check(d.test_samples >= 2, "data", "test_samples", "must be >= 2")
-    check(d.partition in PARTITION_KINDS, "data", "partition",
-          f"must be one of {PARTITION_KINDS}, got {d.partition!r}")
+    check(d.partition in datasets.PARTITION_KINDS, "data", "partition",
+          f"must be one of {datasets.PARTITION_KINDS}, got {d.partition!r}")
     check(d.alpha > 0, "data", "alpha", "must be positive")
 
     check(cfg.nodes >= 1, "federation", "nodes", "must be >= 1")
@@ -225,8 +225,8 @@ def _validate(cfg: ExperimentConfig, text: str, present: set[tuple[str, str]]) -
     check(0 < cfg.dp_delta < 1, "dp", "delta", "must be in (0, 1)")
     check(cfg.dp_clip_norm > 0, "dp", "clip_norm", "must be positive")
 
-    check(cfg.extractor_kind in ("rff", "identity"), "extractor", "kind",
-          f"must be rff or identity, got {cfg.extractor_kind!r}")
+    check(cfg.extractor_kind in features.KINDS, "extractor", "kind",
+          f"must be one of {features.KINDS}, got {cfg.extractor_kind!r}")
     check(cfg.extractor_output_dim >= 1, "extractor", "output_dim", "must be >= 1")
     check(cfg.extractor_gamma > 0, "extractor", "gamma", "must be positive")
 

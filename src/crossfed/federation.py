@@ -1,13 +1,9 @@
 """Federated round state machine: broadcast, local training, a per-strategy
 privacy transform, weighted aggregation, and cross-cloud migration.
 
-Five strategies wrap the same round skeleton:
-
-* ``fedavg``  - plaintext sample-count-weighted averaging
-* ``dp-fl``   - per-node deltas are clipped and Gaussian-noised before averaging
-* ``smc-fl``  - nodes additively secret-share count-weighted parameters
-* ``he-fl``   - nodes send Paillier-encrypted parameters, summed under encryption
-* ``ours``    - he-fl aggregation over extractor-augmented features
+Five presets = four protections x an optional feature front-end, all
+wrapping the same round skeleton. ``PRESETS`` is the only place a strategy
+name is interpreted.
 
 Every stream of randomness is derived from the config seed plus
 (namespace, node, round) tags, so runs are reproducible bit for bit.
@@ -43,7 +39,15 @@ from .models import (
 from .privacy import SMC_SCALE, DpConfig, dp_privatize, reconstruct_sum, share
 from .rngutil import derive_int, derive_rng
 
-STRATEGIES = ("fedavg", "dp-fl", "smc-fl", "he-fl", "ours")
+# strategy name -> (protection, trains on extractor-augmented features)
+PRESETS = {
+    "fedavg": ("plain", False),  # plaintext sample-count-weighted averaging
+    "dp-fl": ("dp", False),  # per-node deltas clipped and Gaussian-noised
+    "smc-fl": ("smc", False),  # count-weighted parameters additively secret-shared
+    "he-fl": ("he", False),  # Paillier-encrypted parameters, summed encrypted
+    "ours": ("he", True),  # he-fl over extractor-augmented features
+}
+STRATEGIES = tuple(PRESETS)
 
 # seed-derivation namespaces
 _TAG_INIT, _TAG_TRAIN, _TAG_DP, _TAG_SMC, _TAG_HE, _TAG_KEYS = range(6)
@@ -115,7 +119,6 @@ class NodeState:
     node_id: int
     cloud_id: str
     data: LabeledDataset
-    params: ModelParams
     seed: int
 
     def __post_init__(self):
@@ -138,11 +141,9 @@ class FederationConfig:
     dp: DpConfig | None = None
     he_bits: int | None = None
     extractor: FeatureExtractor | None = None
-    topology: CloudTopology | None = None
-    smc_scale: int = SMC_SCALE
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in PRESETS:
             raise InvalidInputError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
@@ -150,13 +151,12 @@ class FederationConfig:
             raise InvalidInputError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.max_rounds < 0:
             raise InvalidInputError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        needs_dp = self.strategy == "dp-fl"
-        if needs_dp != (self.dp is not None):
+        protection, front_end = PRESETS[self.strategy]
+        if (protection == "dp") != (self.dp is not None):
             raise InvalidInputError("dp config is required iff strategy is dp-fl")
-        needs_he = self.strategy in ("he-fl", "ours")
-        if needs_he != (self.he_bits is not None):
+        if (protection == "he") != (self.he_bits is not None):
             raise InvalidInputError("he_bits is required iff strategy is he-fl or ours")
-        if (self.strategy == "ours") != (self.extractor is not None):
+        if front_end != (self.extractor is not None):
             raise InvalidInputError("extractor is required iff strategy is ours")
 
 
@@ -223,7 +223,8 @@ def init_federation(
         )
     if any(s.count == 0 for s in shards):
         raise InvalidInputError("every shard must be nonempty")
-    if cfg.strategy == "ours":
+    protection, front_end = PRESETS[cfg.strategy]
+    if front_end:
         shards = [augment_dataset(cfg.extractor, s) for s in shards]
         test_data = augment_dataset(cfg.extractor, test_data)
     input_dim = shards[0].dim
@@ -231,19 +232,18 @@ def init_federation(
         raise InvalidInputError("shards and test data disagree on feature dim")
     arch = ModelArch(input_dim, cfg.hidden_units)
     global_params = init_params(arch, derive_int(cfg.seed, _TAG_INIT))
-    topology = cfg.topology or CloudTopology.uniform(["cloud-a", "cloud-b"])
+    topology = CloudTopology.uniform(["cloud-a", "cloud-b"])
     nodes = [
         NodeState(
             node_id=i,
             cloud_id=topology.clouds[i % len(topology.clouds)],
             data=shard,
-            params=global_params,
             seed=derive_int(cfg.seed, _TAG_TRAIN, i),
         )
         for i, shard in enumerate(shards)
     ]
     state = FederationState(nodes, global_params, test_data, topology)
-    if cfg.strategy in ("he-fl", "ours"):
+    if protection == "he":
         state.pk, state.sk = paillier.keygen(
             cfg.he_bits, derive_int(cfg.seed, _TAG_KEYS)
         )
@@ -256,9 +256,10 @@ def _aggregate_with_strategy(
 ) -> ModelParams:
     """updates: list of (node_id, trained ModelParams, sample count)."""
     arch = state.global_params.arch
-    if cfg.strategy == "fedavg":
+    protection = PRESETS[cfg.strategy][0]
+    if protection == "plain":
         return fedavg_aggregate([(p, n) for _, p, n in updates])
-    if cfg.strategy == "dp-fl":
+    if protection == "dp":
         # clip/noise the per-round delta, not the raw parameters; averaging
         # (global + noised delta_i) equals global + averaged noised deltas
         base = state.global_params.values
@@ -268,16 +269,16 @@ def _aggregate_with_strategy(
             delta = dp_privatize(params.values - base, cfg.dp, rng)
             noised.append((ModelParams(arch, base + delta), count))
         return fedavg_aggregate(noised)
-    if cfg.strategy == "smc-fl":
+    if protection == "smc":
         bundles = []
         for node_id, params, count in updates:
             rng = derive_rng(cfg.seed, _TAG_SMC, node_id, round_index)
             bundles.append(
-                share(params.values * count, cfg.smc_scale, cfg.num_nodes, rng)
+                share(params.values * count, SMC_SCALE, cfg.num_nodes, rng)
             )
         total = sum(count for _, _, count in updates)
         return ModelParams(arch, reconstruct_sum(bundles) / total)
-    # he-fl / ours
+    # he
     encrypted = []
     for node_id, params, count in updates:
         rng = random.Random(derive_int(cfg.seed, _TAG_HE, node_id, round_index))
@@ -288,9 +289,10 @@ def _aggregate_with_strategy(
 
 def _upload_bytes(strategy: str, param_count: int, num_nodes: int, he_bits) -> int:
     """Per-node upstream payload for one round, by strategy."""
-    if strategy in ("fedavg", "dp-fl"):
+    protection = PRESETS[strategy][0]
+    if protection in ("plain", "dp"):
         return 8 * param_count
-    if strategy == "smc-fl":
+    if protection == "smc":
         return 8 * param_count * num_nodes  # one share vector per recipient
     # ciphertexts: worst-case fixed width keeps the estimate deterministic
     return _WIRE_HEADER_BYTES + param_count * (4 + he_bits // 4)
@@ -306,13 +308,14 @@ def _simulate_round(
     up_bytes = _upload_bytes(cfg.strategy, d, k, cfg.he_bits)
     down_bytes = 8 * d
 
-    if cfg.strategy in ("he-fl", "ours"):
+    protection = PRESETS[cfg.strategy][0]
+    if protection == "he":
         node_crypto = d * _he_ms(_MS_PER_HE_ELEMENT, cfg.he_bits)
         server_ms = d * (
             k * _he_ms(_MS_PER_HE_SCALARMUL, cfg.he_bits)
             + _he_ms(_MS_PER_HE_ELEMENT, cfg.he_bits)
         )
-    elif cfg.strategy == "smc-fl":
+    elif protection == "smc":
         node_crypto = d * k * _MS_PER_SMC_ELEMENT
         server_ms = d * k * _MS_PER_SMC_ELEMENT
     else:
@@ -354,8 +357,6 @@ def run_round(
     except (CryptoRangeError, NumericError, InvalidInputError) as exc:
         raise RoundError(t, None, str(exc)) from exc
 
-    for node, (_, trained, _) in zip(state.nodes, updates):
-        node.params = trained
     state.global_params = new_global
     state.round_index = t + 1
 

@@ -17,7 +17,7 @@ from .config import ExperimentConfig
 from .datasets import PartitionScheme, SyntheticSpec, generate, load_csv, partition
 from .errors import CrossFedError, InvalidInputError
 from .features import FeatureExtractor, augment_dataset
-from .federation import FederationConfig, TrainingResult, run_training
+from .federation import PRESETS, FederationConfig, TrainingResult, run_training
 from .models import LabeledDataset, TrainConfig, accuracy
 from .privacy import DpConfig, membership_advantage
 from .rngutil import derive_int, derive_rng
@@ -129,8 +129,10 @@ def build_federation_config(
             learning_rate = float(sweep_value)
         elif cfg.sweep == "privacy":
             epsilon = float(sweep_value)
+    # an unknown name gets no extras; FederationConfig then rejects it
+    protection, front_end = PRESETS.get(strategy, (None, False))
     dp = None
-    if strategy == "dp-fl":
+    if protection == "dp":
         dp = DpConfig(
             epsilon=epsilon,
             clip_norm=cfg.dp_clip_norm,
@@ -138,7 +140,7 @@ def build_federation_config(
             rounds=max(cfg.max_rounds, 1),
         )
     extractor = None
-    if strategy == "ours":
+    if front_end:
         extractor = FeatureExtractor(
             seed=cfg.extractor_seed,
             input_dim=input_dim,
@@ -160,7 +162,7 @@ def build_federation_config(
         target_accuracy=cfg.target_accuracy,
         seed=seed,
         dp=dp,
-        he_bits=cfg.he_bits if strategy in ("he-fl", "ours") else None,
+        he_bits=cfg.he_bits if protection == "he" else None,
         extractor=extractor,
     )
 
@@ -180,7 +182,7 @@ def run_cell(
         fed_cfg = build_federation_config(cfg, strategy, sweep_value, seed, train_data.dim)
         result = run_training(fed_cfg, shards, test_data)
         members, nonmembers = train_data, test_data
-        if strategy == "ours":
+        if fed_cfg.extractor is not None:
             members = augment_dataset(fed_cfg.extractor, members)
             nonmembers = augment_dataset(fed_cfg.extractor, nonmembers)
         advantage = membership_advantage(result.final_params, members, nonmembers)

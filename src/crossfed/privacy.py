@@ -111,14 +111,14 @@ def share(update, scale: int, num_parties: int, rng: np.random.Generator) -> Sha
     p = SMC_FIELD_PRIME
     encoded = []
     for x in update:
+        if not math.isfinite(float(x) * scale):  # NaN or inf, given or once scaled
+            raise CryptoRangeError(f"cannot share non-finite value {x} * scale")
         scaled = round(float(x) * scale)
         if 2 * abs(scaled) >= p:
             raise CryptoRangeError(f"|{x}| * scale exceeds field_prime/2")
         encoded.append(scaled % p)
     first = rng.integers(0, p, size=(num_parties - 1, update.size)).tolist()
-    last = [
-        (encoded[c] - sum(row[c] for row in first)) % p for c in range(update.size)
-    ]
+    last = [(e - sum(column)) % p for e, column in zip(encoded, zip(*first))]
     return ShareBundle(p, scale, tuple(tuple(row) for row in first) + (tuple(last),))
 
 
@@ -134,17 +134,11 @@ def reconstruct_field_sum(bundles: Sequence[ShareBundle]) -> list[int]:
         if len(b.shares) != k or len(b.shares[0]) != length:
             raise InvalidInputError("bundles disagree on share geometry")
     p = first.field_prime
-    totals = [0] * length
-    for recipient in range(k):
-        # what recipient j can compute locally: the sum of its shares
-        local = [0] * length
-        for b in bundles:
-            row = b.shares[recipient]
-            for c in range(length):
-                local[c] = (local[c] + row[c]) % p
-        for c in range(length):
-            totals[c] = (totals[c] + local[c]) % p
-    return totals
+    # Each recipient would sum its own shares locally before the totals are
+    # combined; modular addition is associative, so one sum per coordinate
+    # over every share of every bundle gives the same result.
+    rows = [row for b in bundles for row in b.shares]
+    return [sum(column) % p for column in zip(*rows)]
 
 
 def reconstruct_sum(bundles: Sequence[ShareBundle]) -> np.ndarray:

@@ -45,7 +45,7 @@ from crossfed.paillier import (
     scalar_mul,
     serialize_cipher_vector,
 )
-from crossfed.privacy import DpConfig, clip_update, dp_privatize, gaussian_sigma, membership_advantage
+from crossfed.privacy import SMC_SCALE, DpConfig, clip_update, dp_privatize, gaussian_sigma, membership_advantage
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -92,7 +92,7 @@ def test_criterion_2_secure_strategy_equivalence():
     smc_cfg = FederationConfig(5, 20, "smc-fl", tc, target_accuracy=1.0, seed=1)
     states = [init_federation(c, shards, test) for c in (plain_cfg, he_cfg, smc_cfg)]
     n_total = sum(s.count for s in shards)
-    smc_per_round = 5 / (2 * smc_cfg.smc_scale * n_total) + 1e-9
+    smc_per_round = 5 / (2 * SMC_SCALE * n_total) + 1e-9
     ok, worst_he, worst_smc = True, 0.0, 0.0
     for t in range(20):
         states[0], pr = run_round(states[0], plain_cfg)
@@ -213,7 +213,7 @@ def test_criterion_8_migration_finetune():
     shifted = LabeledDataset(shifted.features + 2.0, shifted.labels)
     holdout = generate(SyntheticSpec("blobs", dim=10, samples=400, seed=992))
     holdout = LabeledDataset(holdout.features + 2.0, holdout.labels)
-    node = NodeState(0, "cloud-b", shifted, w, seed=3)
+    node = NodeState(0, "cloud-b", shifted, seed=3)
     tuned, delta = migrate_and_finetune(w, node, TrainConfig(0.05, 20, 32, 3))
     pre, post = accuracy(w, holdout), accuracy(tuned, holdout)
     delta_ok = float(np.max(np.abs(apply_delta(w, delta).values - tuned.values))) < 1e-12

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from crossfed.datasets import PartitionScheme, SyntheticSpec, generate, partition
 from crossfed.errors import InvalidInputError, RoundError
-from crossfed.features import FeatureExtractor
+from crossfed.features import FeatureExtractor, augment_dataset
 from crossfed.federation import (
     CloudTopology,
     FederationConfig,
@@ -25,7 +26,7 @@ from crossfed.models import (
     accuracy,
     apply_delta,
 )
-from crossfed.privacy import DpConfig
+from crossfed.privacy import SMC_SCALE, DpConfig
 
 
 def _train_cfg(lr=0.05, epochs=1, batch=32, seed=0):
@@ -169,7 +170,7 @@ def test_smc_round_tracks_fedavg_within_codec_bound():
     smc_cfg = plain
     plain = FederationConfig(5, 5, "fedavg", _train_cfg(), target_accuracy=1.0, seed=5)
     ps, ss = init_federation(plain, shards, test), init_federation(smc_cfg, shards, test)
-    per_round = 5 / (2 * smc_cfg.smc_scale * n_total) + 1e-9
+    per_round = 5 / (2 * SMC_SCALE * n_total) + 1e-9
     for t in range(5):
         ps, pr = run_round(ps, plain)
         ss, sr = run_round(ss, smc_cfg)
@@ -216,6 +217,26 @@ def test_ours_strategy_trains_in_feature_space():
                            he_bits=256, extractor=fx)
     result = run_training(cfg, shards, test)
     assert result.final_params.arch.input_dim == 12
+
+
+def test_ours_is_he_fl_on_augmented_data():
+    # the front-end is the only thing "ours" adds to he-fl
+    train = generate(SyntheticSpec("xor", dim=2, samples=300, seed=31))
+    test = generate(SyntheticSpec("xor", dim=2, samples=100, seed=32))
+    shards = partition(train, PartitionScheme("dirichlet", 3, 0.5), seed=33)
+    fx = FeatureExtractor(seed=4, input_dim=2, output_dim=8, gamma=1.0)
+    ours = FederationConfig(3, 4, "ours", _train_cfg(), target_accuracy=1.0, seed=5,
+                            he_bits=256, extractor=fx)
+    he = replace(ours, strategy="he-fl", extractor=None)
+    a = run_training(ours, shards, test).records
+    b = run_training(he, [augment_dataset(fx, s) for s in shards],
+                     augment_dataset(fx, test)).records
+    assert len(a) == len(b) == 4
+    for ra, rb in zip(a, b):
+        assert np.array_equal(ra.global_params.values, rb.global_params.values)
+        assert ra.test_accuracy == rb.test_accuracy
+        assert ra.simulated_millis == rb.simulated_millis
+        assert ra.simulated_comm_bytes == rb.simulated_comm_bytes
 
 
 def test_round_failure_names_node_on_numeric_error():
@@ -270,7 +291,7 @@ def test_privacy_noise_hurts_utility_monotonically():
 
 def test_finetune_zero_epochs_is_identity():
     shards, _ = _blob_setting(k=1)
-    node = NodeState(0, "cloud-b", shards[0], None, seed=0)
+    node = NodeState(0, "cloud-b", shards[0], seed=0)
     w = ModelParams(ModelArch(5), np.linspace(-1, 1, 6))
     tuned, delta = migrate_and_finetune(w, node, _train_cfg(epochs=0))
     assert np.array_equal(tuned.values, w.values)
@@ -279,7 +300,7 @@ def test_finetune_zero_epochs_is_identity():
 
 def test_finetune_delta_identity():
     shards, _ = _blob_setting(k=1)
-    node = NodeState(0, "cloud-b", shards[0], None, seed=0)
+    node = NodeState(0, "cloud-b", shards[0], seed=0)
     w = ModelParams(ModelArch(5), np.linspace(-1, 1, 6))
     tuned, delta = migrate_and_finetune(w, node, _train_cfg(epochs=3))
     assert np.max(np.abs(apply_delta(w, delta).values - tuned.values)) < 1e-12
@@ -287,7 +308,7 @@ def test_finetune_delta_identity():
 
 def test_finetune_through_extractor():
     shards, _ = _blob_setting(k=1, dim=5)
-    node = NodeState(0, "cloud-b", shards[0], None, seed=0)
+    node = NodeState(0, "cloud-b", shards[0], seed=0)
     fx = FeatureExtractor(seed=2, input_dim=5, output_dim=8, gamma=0.1)
     w = ModelParams(ModelArch(8), np.zeros(9))
     tuned, delta = migrate_and_finetune(w, node, _train_cfg(epochs=2), extractor=fx)
@@ -304,6 +325,6 @@ def test_finetune_recovers_covariate_shift():
     shifted_train = LabeledDataset(shift.features + 2.0, shift.labels)
     holdout = generate(SyntheticSpec("blobs", dim=4, samples=400, seed=778, separation=6.0))
     shifted_test = LabeledDataset(holdout.features + 2.0, holdout.labels)
-    node = NodeState(0, "cloud-b", shifted_train, w, seed=12)
+    node = NodeState(0, "cloud-b", shifted_train, seed=12)
     tuned, _ = migrate_and_finetune(w, node, _train_cfg(epochs=20))
     assert accuracy(tuned, shifted_test) >= accuracy(w, shifted_test) + 0.05

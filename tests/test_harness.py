@@ -1,8 +1,12 @@
 import csv
 import json
 
+import pytest
+
+from crossfed import harness
 from crossfed.cli import main
 from crossfed.config import parse_config_text
+from crossfed.federation import PRESETS, STRATEGIES, run_training
 from crossfed.harness import CSV_COLUMNS, run_cell, run_sweep
 
 SMALL = """\
@@ -107,6 +111,26 @@ def test_run_cell_reports_target(tmp_path):
     assert 0.0 <= row.membership_advantage <= 1.0
     assert row.privacy_score == 1.0 - row.membership_advantage
     assert row.comm_bytes_total == sum(r.simulated_comm_bytes for r in result.records)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_cell_builds_preset_extras(tmp_path, monkeypatch, strategy):
+    text = SMALL.format(out=tmp_path / "x.csv")
+    cfg = parse_config_text(text.replace("max_rounds = 3", "max_rounds = 2\nhe_bits = 256"))
+    built = []
+
+    def spy(fed_cfg, shards, test_data):
+        built.append(fed_cfg)
+        return run_training(fed_cfg, shards, test_data)
+
+    monkeypatch.setattr(harness, "run_training", spy)
+    row, _ = run_cell(cfg, strategy, None, 1)
+    assert row.status == "ok"
+    (fed_cfg,) = built
+    protection, front_end = PRESETS[strategy]
+    assert (fed_cfg.dp is not None) == (protection == "dp")
+    assert fed_cfg.he_bits == (256 if protection == "he" else None)
+    assert (fed_cfg.extractor is not None) == front_end
 
 
 # --- cli ---------------------------------------------------------------------

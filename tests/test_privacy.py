@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfed.errors import CryptoRangeError, InvalidInputError
 from crossfed.models import (
@@ -221,3 +223,50 @@ def test_advantage_rejects_empty_sets():
     model = ModelParams(ModelArch(4), np.zeros(5))
     with pytest.raises(InvalidInputError):
         membership_advantage(model, members, empty)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_share_rejects_non_finite(bad):
+    # 1e308 is finite but overflows to inf once scaled
+    rng = np.random.default_rng(9)
+    with pytest.raises(CryptoRangeError):
+        share(np.array([0.5, bad]), SMC_SCALE, 2, rng)
+
+
+# --- field boundary ----------------------------------------------------------
+
+_FIELD_BOUND = 1 << 60  # shares hold |x| * scale < field_prime / 2 = 2^60 - 1/2
+# integers below 2^60 that float64 holds exactly, so x * scale is exact
+_IN_RANGE = st.builds(
+    lambda m, e: m << e, st.integers(-(1 << 53) + 1, (1 << 53) - 1), st.integers(0, 7)
+)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.lists(st.lists(_IN_RANGE, min_size=d, max_size=d), min_size=1, max_size=5)
+    ),
+    st.integers(2, 5),
+    st.integers(0, 2**32),
+)
+def test_share_reconstructs_exact_sum_below_field_bound(nodes, parties, seed):
+    rng = np.random.default_rng(seed)
+    bundles = [share(np.array(n, dtype=np.float64) / SMC_SCALE, SMC_SCALE, parties, rng)
+               for n in nodes]
+    totals = reconstruct_field_sum(bundles)
+    sums = [sum(column) for column in zip(*nodes)]
+    assert totals == [s % SMC_FIELD_PRIME for s in sums]
+    if all(abs(s) < _FIELD_BOUND for s in sums):  # then the signed decode is exact too
+        half = SMC_FIELD_PRIME // 2
+        assert [t - SMC_FIELD_PRIME if t > half else t for t in totals] == sums
+        assert np.array_equal(reconstruct_sum(bundles), np.array(sums, dtype=np.float64) / SMC_SCALE)
+
+
+@settings(deadline=None)
+@given(st.integers(_FIELD_BOUND, 1 << 70), st.sampled_from([1, -1]), st.integers(0, 7))
+def test_share_rejects_node_at_field_bound(magnitude, sign, position):
+    update = np.zeros(8)
+    update[position] = sign * float(magnitude) / SMC_SCALE
+    with pytest.raises(CryptoRangeError):
+        share(update, SMC_SCALE, 2, np.random.default_rng(0))
