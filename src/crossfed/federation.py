@@ -278,11 +278,19 @@ def _aggregate_with_strategy(
             )
         total = sum(count for _, _, count in updates)
         return ModelParams(arch, reconstruct_sum(bundles) / total)
-    # he
+    # he: the count-weighted sum must stay below n/2 or it decodes with the
+    # wrong sign, so bound it by sum(count * max|round(w * scale)|)
+    scale = state.codec.scale
+    peak = sum(count * round(float(np.max(np.abs(w.values))) * scale) for _, w, count in updates)
+    if 2 * peak >= state.pk.n:
+        raise CryptoRangeError(
+            f"count-weighted sum of {len(updates)} updates exceeds n/2 at scale {scale}"
+        )
     encrypted = []
     for node_id, params, count in updates:
         rng = random.Random(derive_int(cfg.seed, _TAG_HE, node_id, round_index))
-        encrypted.append((paillier.encrypt_params(state.pk, state.codec, params, rng), count))
+        cv = paillier.encrypt_params(state.pk, state.codec, params, rng, sk=state.sk)
+        encrypted.append((cv, count))
     aggregate, total = paillier.aggregate_encrypted(state.pk, encrypted)
     return paillier.decrypt_params(state.sk, state.pk, state.codec, aggregate, total, arch)
 

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossfed.datasets import PartitionScheme, SyntheticSpec, generate, partition
-from crossfed.errors import InvalidInputError, RoundError
+from crossfed.errors import CryptoRangeError, InvalidInputError, RoundError
 from crossfed.features import FeatureExtractor, augment_dataset
 from crossfed.federation import (
     CloudTopology,
@@ -260,6 +261,64 @@ def test_round_failure_on_crypto_range_error():
     state.codec = FixedPointCodec(modulus=35, scale=1 << 40)  # nothing fits
     with pytest.raises(RoundError, match="round 0"):
         run_round(state, cfg)
+
+
+def test_he_round_encrypts_and_decrypts_once_per_parameter(monkeypatch):
+    # perfbench's tracer counts these module globals, so the CRT arithmetic
+    # must run through them, once per element, with the key holder's sk
+    from crossfed import paillier
+
+    calls = {"encrypt": [], "decrypt": []}
+    for name, seen in calls.items():
+        def counted(*args, _original=getattr(paillier, name), _seen=seen, **kwargs):
+            _seen.append(kwargs.get("sk"))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(paillier, name, counted)
+    shards, test = _blob_setting(k=3, samples=150)
+    cfg = FederationConfig(3, 1, "he-fl", _train_cfg(), seed=7, he_bits=256)
+    state = init_federation(cfg, shards, test)
+    state, _ = run_round(state, cfg)
+    d = state.global_params.arch.param_count
+    assert len(calls["encrypt"]) == 3 * d
+    assert len(calls["decrypt"]) == d
+    assert all(sk is state.sk for sk in calls["encrypt"])
+
+
+def _he_state_at_codec_limit():
+    """A 256-bit he-fl state and parameters of alternating sign whose scaled
+    magnitude is just under n/2, the most one encoded coordinate may hold."""
+    shards, test = _blob_setting(k=2, samples=100)
+    cfg = FederationConfig(2, 1, "he-fl", _train_cfg(), seed=21, he_bits=256)
+    state = init_federation(cfg, shards, test)
+    w = float(state.pk.n // 2 // state.codec.scale) * (1 - 2.0**-20)
+    arch = state.global_params.arch
+    return state, cfg, ModelParams(arch, np.resize([w, -w], arch.param_count))
+
+
+@pytest.mark.parametrize("counts", [(1, 1), (300, 200)])
+def test_he_aggregation_rejects_sum_past_half_modulus(counts):
+    from crossfed import paillier
+    from crossfed.federation import _aggregate_with_strategy
+
+    state, cfg, params = _he_state_at_codec_limit()
+    updates = [(node, params, count) for node, count in enumerate(counts)]
+    # unchecked, the count-weighted sum wraps mod n and decodes to garbage
+    rng = random.Random(0)
+    encrypted = [(paillier.encrypt_params(state.pk, state.codec, p, rng), c) for _, p, c in updates]
+    aggregate, total = paillier.aggregate_encrypted(state.pk, encrypted)
+    wrapped = paillier.decrypt_params(state.sk, state.pk, state.codec, aggregate, total, params.arch)
+    assert not np.allclose(wrapped.values, params.values)
+    with pytest.raises(CryptoRangeError, match="exceeds n/2"):
+        _aggregate_with_strategy(state, cfg, updates, 0)
+
+
+def test_he_aggregation_admits_single_update_at_codec_limit():
+    from crossfed.federation import _aggregate_with_strategy
+
+    state, cfg, params = _he_state_at_codec_limit()
+    out = _aggregate_with_strategy(state, cfg, [(0, params, 1)], 0)
+    assert np.array_equal(out.values, params.values)
 
 
 def test_shard_count_must_match_nodes():

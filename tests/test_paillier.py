@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfed.errors import CryptoRangeError, InvalidInputError
 from crossfed.models import ModelArch, ModelParams
@@ -322,3 +325,106 @@ def test_wire_format_rejects_garbage():
         deserialize_cipher_vector(blob[:-1])
     with pytest.raises(InvalidInputError):
         deserialize_cipher_vector(blob + b"\x00")
+
+
+# --- key-holder CRT arithmetic -----------------------------------------------
+
+_ODD_PRIMES = [p for p in range(3, 400) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+_SEEDED_KEYS = [keygen(256, seed=s) for s in (1, 2)] + [keygen(512, seed=3)]
+
+
+def _valid_pair(pq):
+    p, q = pq
+    return p != q and math.gcd(p * q, (p - 1) * (q - 1)) == 1
+
+
+_KEYS = st.one_of(
+    st.just(TOY),
+    st.sampled_from(_SEEDED_KEYS),
+    st.tuples(st.sampled_from(_ODD_PRIMES), st.sampled_from(_ODD_PRIMES))
+    .filter(_valid_pair)
+    .map(lambda pq: keypair_from_primes(*pq)),
+)
+
+
+def _textbook_mu(sk, pk):
+    return pow((pow(pk.g, sk.lam, pk.n_squared) - 1) // pk.n, -1, pk.n)
+
+
+def _textbook_decrypt(sk, pk, c):
+    # Paillier's L(c^lam mod n^2) * mu mod n, with mu from its definition
+    return (pow(c, sk.lam, pk.n_squared) - 1) // pk.n * _textbook_mu(sk, pk) % pk.n
+
+
+def test_toy_crt_decrypt_matches_textbook_on_every_unit():
+    pk, sk = TOY
+    units = [c for c in range(pk.n_squared) if math.gcd(c, pk.n) == 1]
+    assert len(units) == 35 * 24  # n * phi(n) ciphertexts
+    assert all(decrypt(sk, pk, c) == _textbook_decrypt(sk, pk, c) for c in units)
+
+
+@settings(deadline=None)
+@given(_KEYS)
+def test_key_constants_match_definitions(key):
+    pk, sk = key
+    p, q = sk.p, sk.q
+    assert sk.n == pk.n == p * q
+    assert sk.lam == math.lcm(p - 1, q - 1)
+    assert sk.mu == _textbook_mu(sk, pk)
+    assert q * sk.q_inv_p % p == 1
+    assert q * q * sk.q_squared_inv_p_squared % (p * p) == 1
+    assert -q * sk.h_p % p == 1 and -p * sk.h_q % q == 1
+    assert (sk.q_mod_p1, sk.p_mod_q1) == (q % (p - 1), p % (q - 1))
+
+
+@settings(deadline=None)
+@given(_KEYS, st.data())
+def test_crt_decrypt_matches_textbook(key, data):
+    pk, sk = key
+    c = data.draw(st.integers(1, pk.n_squared - 1).filter(lambda c: math.gcd(c, pk.n) == 1))
+    assert decrypt(sk, pk, c) == _textbook_decrypt(sk, pk, c)
+
+
+@settings(deadline=None)
+@given(_KEYS, st.data())
+def test_crt_encrypt_matches_public_key_path(key, data):
+    pk, sk = key
+    m = data.draw(st.integers(0, pk.n - 1))
+    seed = data.draw(st.integers(0, 2**32))
+    c = encrypt(pk, m, random.Random(seed))
+    assert encrypt(pk, m, random.Random(seed), sk=sk) == c
+    assert decrypt(sk, pk, c) == m
+    # a pinned r need not be a unit: r = 0 mod p must still agree
+    r = data.draw(st.integers(0, pk.n_squared))
+    pinned = encrypt(pk, m, random.Random(0), r_value=r)
+    assert encrypt(pk, m, random.Random(0), r_value=r, sk=sk) == pinned
+
+
+@settings(deadline=None)
+@given(_KEYS, st.data())
+def test_crt_encrypt_params_matches_public_key_path(key, data):
+    pk, sk = key
+    codec = FixedPointCodec(pk.n, scale=1)
+    bound = pk.n // 4
+    values = data.draw(st.lists(st.integers(-bound, bound), min_size=2, max_size=6))
+    w = _params([float(v) for v in values])
+    seed = data.draw(st.integers(0, 2**32))
+    plain = encrypt_params(pk, codec, w, random.Random(seed))
+    crt = encrypt_params(pk, codec, w, random.Random(seed), sk=sk)
+    assert crt.elements == plain.elements
+    assert crt.key_bits == plain.key_bits
+
+
+def test_keypair_rejects_pair_sharing_a_factor_with_phi():
+    with pytest.raises(InvalidInputError):
+        keypair_from_primes(3, 7)  # gcd(21, 2 * 6) = 3
+
+
+def test_mismatched_secret_key_rejected(key256):
+    pk, _ = key256
+    _, toy_sk = TOY
+    c = encrypt(pk, 5, random.Random(0))
+    with pytest.raises(InvalidInputError):
+        decrypt(toy_sk, pk, c)
+    with pytest.raises(InvalidInputError):
+        encrypt(pk, 5, random.Random(0), sk=toy_sk)
