@@ -21,7 +21,6 @@ from .models import (
 from .features import FeatureExtractor, augment_dataset, extract
 from .datasets import PartitionScheme, SyntheticSpec, generate, load_csv, partition, save_csv
 from .federation import (
-    CloudTopology,
     FederationConfig,
     NodeState,
     RoundRecord,

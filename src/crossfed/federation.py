@@ -8,7 +8,16 @@ name is interpreted.
 Every stream of randomness is derived from the config seed plus
 (namespace, node, round) tags, so runs are reproducible bit for bit.
 Wall-clock time is measured; communication bytes and the simulated time
-column come from a fixed cost model so they are reproducible too.
+column come from a fixed cost model so they are reproducible too. The
+cross-cloud architecture lives only in that model: nodes alternate
+between two clouds, the server sits in the first, and each transfer costs
+``bytes / rate + latency`` on the intra- or inter-cloud link.
+
+The ``smc`` and ``he`` protections encode with one ``FixedPointCodec``
+(``state.codec``) and check with ``paillier.check_sum_headroom`` that the
+count-weighted sum fits the codec's signed range before anything is
+encoded, so an oversized update ends as a ``RoundError``, never as a
+silently wrapped sum.
 """
 from __future__ import annotations
 
@@ -19,12 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import paillier
-from .errors import (
-    CryptoRangeError,
-    InvalidInputError,
-    NumericError,
-    RoundError,
-)
+from .errors import CryptoRangeError, InvalidInputError, NumericError, RoundError
 from .features import FeatureExtractor, augment_dataset
 from .models import (
     LabeledDataset,
@@ -36,7 +40,7 @@ from .models import (
     local_train,
     param_delta,
 )
-from .privacy import SMC_SCALE, DpConfig, dp_privatize, reconstruct_sum, share
+from .privacy import SMC_FIELD_PRIME, SMC_SCALE, DpConfig, dp_privatize, reconstruct_sum, share
 from .rngutil import derive_int, derive_rng
 
 # strategy name -> (protection, trains on extractor-augmented features)
@@ -60,58 +64,13 @@ _MS_PER_HE_SCALARMUL = 0.02  # one homomorphic weighting at 512-bit keys
 _MS_PER_SMC_ELEMENT = 1e-4
 _MS_PER_PLAIN_ELEMENT = 1e-6
 _WIRE_HEADER_BYTES = 12  # magic + key bits + element count
+_CLOUDS = ("cloud-a", "cloud-b")  # nodes alternate; the server sits in the first
+_INTRA_CLOUD_LINK = (1e5, 0.1)  # (bytes per ms, latency ms) within one cloud
+_INTER_CLOUD_LINK = (1000.0, 5.0)  # (bytes per ms, latency ms) between clouds
 
 
 def _he_ms(base: float, bits: int) -> float:
     return base * (bits / 512) ** 3
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    bytes_per_ms: float
-    latency_ms: float
-
-    def __post_init__(self):
-        if self.bytes_per_ms <= 0.0:
-            raise InvalidInputError("link rate must be positive")
-        if self.latency_ms < 0.0:
-            raise InvalidInputError("link latency must be >= 0")
-
-
-@dataclass
-class CloudTopology:
-    """Symmetric inter-cloud links used only for simulated-time accounting."""
-
-    clouds: list[str]
-    links: dict[tuple[str, str], LinkSpec]
-    intra_bytes_per_ms: float = 1e5
-    intra_latency_ms: float = 0.1
-
-    def __post_init__(self):
-        if not self.clouds:
-            raise InvalidInputError("topology needs at least one cloud")
-        canonical = {}
-        for (a, b), spec in self.links.items():
-            canonical[(min(a, b), max(a, b))] = spec
-        self.links = canonical
-
-    @classmethod
-    def uniform(cls, clouds, bytes_per_ms: float = 1000.0, latency_ms: float = 5.0):
-        clouds = list(clouds)
-        spec = LinkSpec(bytes_per_ms, latency_ms)
-        links = {
-            (a, b): spec for i, a in enumerate(clouds) for b in clouds[i + 1 :]
-        }
-        return cls(clouds, links)
-
-    def transfer_millis(self, cloud_a: str, cloud_b: str, nbytes: int) -> float:
-        if cloud_a == cloud_b:
-            return nbytes / self.intra_bytes_per_ms + self.intra_latency_ms
-        key = (min(cloud_a, cloud_b), max(cloud_a, cloud_b))
-        if key not in self.links:
-            raise InvalidInputError(f"no link between {cloud_a!r} and {cloud_b!r}")
-        link = self.links[key]
-        return nbytes / link.bytes_per_ms + link.latency_ms
 
 
 @dataclass
@@ -177,7 +136,6 @@ class FederationState:
     nodes: list[NodeState]
     global_params: ModelParams
     test_data: LabeledDataset
-    topology: CloudTopology
     round_index: int = 0
     pk: paillier.PaillierPublicKey | None = None
     sk: paillier.PaillierPrivateKey | None = None
@@ -232,18 +190,19 @@ def init_federation(
         raise InvalidInputError("shards and test data disagree on feature dim")
     arch = ModelArch(input_dim, cfg.hidden_units)
     global_params = init_params(arch, derive_int(cfg.seed, _TAG_INIT))
-    topology = CloudTopology.uniform(["cloud-a", "cloud-b"])
     nodes = [
         NodeState(
             node_id=i,
-            cloud_id=topology.clouds[i % len(topology.clouds)],
+            cloud_id=_CLOUDS[i % len(_CLOUDS)],
             data=shard,
             seed=derive_int(cfg.seed, _TAG_TRAIN, i),
         )
         for i, shard in enumerate(shards)
     ]
-    state = FederationState(nodes, global_params, test_data, topology)
-    if protection == "he":
+    state = FederationState(nodes, global_params, test_data)
+    if protection == "smc":
+        state.codec = paillier.FixedPointCodec(SMC_FIELD_PRIME, SMC_SCALE)
+    elif protection == "he":
         state.pk, state.sk = paillier.keygen(
             cfg.he_bits, derive_int(cfg.seed, _TAG_KEYS)
         )
@@ -270,22 +229,17 @@ def _aggregate_with_strategy(
             noised.append((ModelParams(arch, base + delta), count))
         return fedavg_aggregate(noised)
     if protection == "smc":
+        # nodes share count-weighted parameters; the field sum is their total
+        weighted = [(node_id, params.values * count) for node_id, params, count in updates]
+        paillier.check_sum_headroom(state.codec, [(w, 1) for _, w in weighted])
         bundles = []
-        for node_id, params, count in updates:
+        for node_id, w in weighted:
             rng = derive_rng(cfg.seed, _TAG_SMC, node_id, round_index)
-            bundles.append(
-                share(params.values * count, SMC_SCALE, cfg.num_nodes, rng)
-            )
+            bundles.append(share(w, state.codec.scale, cfg.num_nodes, rng))
         total = sum(count for _, _, count in updates)
         return ModelParams(arch, reconstruct_sum(bundles) / total)
-    # he: the count-weighted sum must stay below n/2 or it decodes with the
-    # wrong sign, so bound it by sum(count * max|round(w * scale)|)
-    scale = state.codec.scale
-    peak = sum(count * round(float(np.max(np.abs(w.values))) * scale) for _, w, count in updates)
-    if 2 * peak >= state.pk.n:
-        raise CryptoRangeError(
-            f"count-weighted sum of {len(updates)} updates exceeds n/2 at scale {scale}"
-        )
+    # he: the ciphertexts are weighted by count after encryption
+    paillier.check_sum_headroom(state.codec, [(w.values, count) for _, w, count in updates])
     encrypted = []
     for node_id, params, count in updates:
         rng = random.Random(derive_int(cfg.seed, _TAG_HE, node_id, round_index))
@@ -312,7 +266,6 @@ def _simulate_round(
     """Deterministic (simulated_millis, comm_bytes) for one round."""
     d = state.global_params.arch.param_count
     k = cfg.num_nodes
-    server_cloud = state.topology.clouds[0]
     up_bytes = _upload_bytes(cfg.strategy, d, k, cfg.he_bits)
     down_bytes = 8 * d
 
@@ -333,13 +286,10 @@ def _simulate_round(
     slowest_node = 0.0
     slowest_broadcast = 0.0
     for node, count in zip(state.nodes, counts):
+        rate, latency = _INTRA_CLOUD_LINK if node.cloud_id == _CLOUDS[0] else _INTER_CLOUD_LINK
         compute = cfg.train.local_epochs * count * d * _MS_PER_SAMPLE_PARAM + node_crypto
-        upload = state.topology.transfer_millis(node.cloud_id, server_cloud, up_bytes)
-        slowest_node = max(slowest_node, compute + upload)
-        slowest_broadcast = max(
-            slowest_broadcast,
-            state.topology.transfer_millis(server_cloud, node.cloud_id, down_bytes),
-        )
+        slowest_node = max(slowest_node, compute + (up_bytes / rate + latency))
+        slowest_broadcast = max(slowest_broadcast, down_bytes / rate + latency)
     comm = k * up_bytes + k * down_bytes
     return slowest_node + server_ms + slowest_broadcast, comm
 

@@ -11,31 +11,16 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .config import ExperimentConfig
 from .datasets import PartitionScheme, SyntheticSpec, generate, load_csv, partition
 from .errors import CrossFedError, InvalidInputError
 from .features import FeatureExtractor, augment_dataset
-from .federation import PRESETS, FederationConfig, TrainingResult, run_training
+from .federation import PRESETS, FederationConfig, RoundRecord, TrainingResult, run_training
 from .models import LabeledDataset, TrainConfig, accuracy
 from .privacy import DpConfig, membership_advantage
 from .rngutil import derive_int, derive_rng
-
-CSV_COLUMNS = [
-    "strategy",
-    "sweep_param_name",
-    "sweep_param_value",
-    "seed",
-    "rounds_to_target",
-    "final_accuracy",
-    "privacy_score",
-    "membership_advantage",
-    "wall_millis_total",
-    "simulated_millis_total",
-    "comm_bytes_total",
-    "status",
-]
 
 _SWEEP_PARAM_NAMES = {
     "privacy": "epsilon",
@@ -63,22 +48,16 @@ class MetricsRow:
     comm_bytes_total: int
     status: str
 
-    def as_strings(self) -> list[str]:
-        value = "" if self.sweep_param_value is None else repr(self.sweep_param_value)
-        return [
-            self.strategy,
-            self.sweep_param_name,
-            value,
-            str(self.seed),
-            str(self.rounds_to_target),
-            repr(self.final_accuracy),
-            repr(self.privacy_score),
-            repr(self.membership_advantage),
-            repr(self.wall_millis_total),
-            repr(self.simulated_millis_total),
-            str(self.comm_bytes_total),
-            self.status,
-        ]
+
+CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
+_ROUND_LOG_COLUMNS = [f.name for f in fields(RoundRecord) if f.name != "global_params"]
+
+
+def _csv_cells(record, columns: list[str]) -> list[str]:
+    """One row of cells: empty for None, repr for floats (an exact round
+    trip), str otherwise."""
+    values = [getattr(record, c) for c in columns]
+    return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
 
 
 def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
@@ -246,7 +225,7 @@ def write_metrics_csv(rows: list[MetricsRow], path) -> None:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for row in rows:
-                writer.writerow(row.as_strings())
+                writer.writerow(_csv_cells(row, CSV_COLUMNS))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -258,26 +237,6 @@ def write_round_log(result: TrainingResult, path) -> None:
     """One flat record per round; the optional side output of ``run``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "round_index",
-                "train_accuracy",
-                "test_accuracy",
-                "mean_local_loss",
-                "wall_millis",
-                "simulated_millis",
-                "simulated_comm_bytes",
-            ]
-        )
+        writer.writerow(_ROUND_LOG_COLUMNS)
         for r in result.records:
-            writer.writerow(
-                [
-                    str(r.round_index),
-                    repr(r.train_accuracy),
-                    repr(r.test_accuracy),
-                    repr(r.mean_local_loss),
-                    repr(r.wall_millis),
-                    repr(r.simulated_millis),
-                    str(r.simulated_comm_bytes),
-                ]
-            )
+            writer.writerow(_csv_cells(r, _ROUND_LOG_COLUMNS))

@@ -13,11 +13,12 @@ results are the same integers the public-key formulas give, 2-3.5x
 faster at 512-bit keys and up.
 
 Reals ride along as scaled residues: ``round(x * scale)`` mapped into
-[0, n), with the upper half of the range decoding as negative. Every
-weighted sum must keep its scaled magnitude below n/2 or the signed
-mapping becomes ambiguous; that headroom is the caller's responsibility
-(the federation's ``he`` aggregation checks it) and is enormous at the
-supported key sizes.
+[0, modulus), with the upper half of the range decoding as negative. The
+same ``FixedPointCodec`` serves Paillier (modulus n) and the SMC baseline
+(the prime field of ``privacy``). Every weighted sum must keep its scaled
+magnitude below modulus/2 or the signed mapping becomes ambiguous;
+``check_sum_headroom`` bounds it before anything is encoded, and the
+federation calls it for both the ``he`` and the ``smc`` aggregation.
 """
 from __future__ import annotations
 
@@ -250,9 +251,10 @@ class FixedPointCodec:
 
 def encode_real(codec: FixedPointCodec, x: float) -> int:
     x = float(x)
-    if not math.isfinite(x):
-        raise CryptoRangeError(f"cannot encode non-finite value {x}")
-    scaled = round(x * codec.scale)  # exact: scale is a power of two
+    product = x * codec.scale  # exact: scale is a power of two
+    if not math.isfinite(product):  # NaN or inf, given or once scaled
+        raise CryptoRangeError(f"cannot encode non-finite value {x} * scale")
+    scaled = round(product)
     if 2 * abs(scaled) >= codec.modulus:
         raise CryptoRangeError(f"|{x}| * scale exceeds modulus/2")
     return scaled % codec.modulus
@@ -264,6 +266,24 @@ def decode_real(codec: FixedPointCodec, v: int) -> float:
     if v > codec.modulus // 2:
         v -= codec.modulus
     return v / codec.scale
+
+
+def check_sum_headroom(codec: FixedPointCodec, updates: Sequence[tuple[np.ndarray, int]]) -> None:
+    """Raise CryptoRangeError unless sum(count * round(max|w| * scale)) over
+    the (w, count) pairs stays below modulus/2, so that the count-weighted
+    sum of the encoded vectors decodes with the right sign."""
+    scale = codec.scale
+    bound = 0
+    for values, count in updates:
+        largest = float(np.max(np.abs(values)))
+        if not math.isfinite(largest * scale):  # NaN or inf, given or once scaled
+            raise CryptoRangeError(f"cannot encode non-finite value {largest} * scale")
+        bound += count * round(largest * scale)
+    if 2 * bound >= codec.modulus:
+        raise CryptoRangeError(
+            f"count-weighted sum of {len(updates)} updates exceeds n/2 "
+            f"at scale {scale} (n: the {codec.modulus.bit_length()}-bit modulus)"
+        )
 
 
 @dataclass
@@ -302,7 +322,7 @@ def aggregate_encrypted(
 
     Weighting by integer sample counts keeps everything inside the additive
     homomorphism; the division by the total count happens after decryption.
-    The caller must keep sum(count_i * max|w_i|) * scale below n/2.
+    ``check_sum_headroom`` keeps sum(count_i * max|w_i|) * scale below n/2.
     """
     if not updates:
         raise InvalidInputError("no updates to aggregate")

@@ -4,7 +4,8 @@ loss-threshold membership-inference metric used to score privacy.
 The DP path clips an update to L2 norm C and adds per-coordinate Gaussian
 noise calibrated by the analytic (epsilon, delta) formula; budgets compose
 linearly across rounds. The SMC path splits fixed-point-encoded updates
-into additive shares over the prime field 2^61 - 1.
+into additive shares over the prime field 2^61 - 1, encoded and decoded
+by the same ``paillier.FixedPointCodec`` the HE path uses.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CryptoRangeError, InvalidInputError
+from .errors import InvalidInputError
 from .models import LabeledDataset, ModelParams, per_sample_losses
+from .paillier import FixedPointCodec, decode_real, encode_real
 
 SMC_FIELD_PRIME = (1 << 61) - 1
 # SMC fixed-point scale; coarser than the HE codec because field headroom
@@ -98,25 +100,17 @@ def share(update, scale: int, num_parties: int, rng: np.random.Generator) -> Sha
     """Split an update into num_parties uniform additive shares.
 
     The first K-1 shares are uniform over the field; the last absorbs the
-    encoded update. Callers summing many nodes must keep
-    |x| * scale * node_count below field_prime / 2.
+    encoded update. Callers summing many nodes must keep the sum in range,
+    as ``paillier.check_sum_headroom`` does.
     """
     if num_parties < 2:
         raise InvalidInputError(f"need at least 2 parties, got {num_parties}")
-    if scale < 1:
-        raise InvalidInputError(f"scale must be >= 1, got {scale}")
     update = np.asarray(update, dtype=np.float64)
     if update.ndim != 1:
         raise InvalidInputError("update must be a 1-D vector")
     p = SMC_FIELD_PRIME
-    encoded = []
-    for x in update:
-        if not math.isfinite(float(x) * scale):  # NaN or inf, given or once scaled
-            raise CryptoRangeError(f"cannot share non-finite value {x} * scale")
-        scaled = round(float(x) * scale)
-        if 2 * abs(scaled) >= p:
-            raise CryptoRangeError(f"|{x}| * scale exceeds field_prime/2")
-        encoded.append(scaled % p)
+    codec = FixedPointCodec(p, scale)
+    encoded = [encode_real(codec, x) for x in update.tolist()]
     first = rng.integers(0, p, size=(num_parties - 1, update.size)).tolist()
     last = [(e - sum(column)) % p for e, column in zip(encoded, zip(*first))]
     return ShareBundle(p, scale, tuple(tuple(row) for row in first) + (tuple(last),))
@@ -144,10 +138,8 @@ def reconstruct_field_sum(bundles: Sequence[ShareBundle]) -> list[int]:
 def reconstruct_sum(bundles: Sequence[ShareBundle]) -> np.ndarray:
     """Sum of all original updates, recovered through the shares."""
     totals = reconstruct_field_sum(bundles)
-    p = bundles[0].field_prime
-    half = p // 2
-    signed = [t - p if t > half else t for t in totals]
-    return np.array(signed, dtype=np.float64) / bundles[0].scale
+    codec = FixedPointCodec(bundles[0].field_prime, bundles[0].scale)
+    return np.array([decode_real(codec, t) for t in totals], dtype=np.float64)
 
 
 def membership_advantage(

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from crossfed.config import (
@@ -138,6 +140,16 @@ def test_render_parse_is_fixed_point():
     cfg2 = parse_config_text(text1)
     assert cfg2 == cfg
     assert render_config(cfg2) == text1
+
+
+def test_shipped_configs_render_to_a_fixed_point():
+    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
+    assert paths
+    for path in paths:
+        cfg = parse_config(path)
+        text = render_config(cfg)
+        assert parse_config_text(text) == cfg, path.name
+        assert render_config(parse_config_text(text)) == text, path.name
 
 
 def test_render_defaults_roundtrip():

@@ -9,9 +9,7 @@ from crossfed.datasets import PartitionScheme, SyntheticSpec, generate, partitio
 from crossfed.errors import CryptoRangeError, InvalidInputError, RoundError
 from crossfed.features import FeatureExtractor, augment_dataset
 from crossfed.federation import (
-    CloudTopology,
     FederationConfig,
-    LinkSpec,
     NodeState,
     fedavg_aggregate,
     init_federation,
@@ -126,16 +124,38 @@ def test_config_requires_strategy_extras():
         FederationConfig(3, 5, "mystery", tc)
 
 
-def test_topology_transfer_times():
-    topo = CloudTopology.uniform(["a", "b"], bytes_per_ms=100.0, latency_ms=2.0)
-    assert topo.transfer_millis("a", "b", 1000) == 1000 / 100.0 + 2.0
-    assert topo.transfer_millis("b", "a", 0) == 2.0
-    intra = topo.transfer_millis("a", "a", 1000)
-    assert intra < topo.transfer_millis("a", "b", 1000)
-    with pytest.raises(InvalidInputError):
-        topo.transfer_millis("a", "zz", 10)
-    with pytest.raises(InvalidInputError):
-        LinkSpec(0.0, 1.0)
+@pytest.mark.parametrize("strategy", ["fedavg", "he-fl"])
+def test_round_cost_model_pinned(strategy):
+    from crossfed.federation import _simulate_round
+
+    # 3 nodes x 50 samples, 6 params. Nodes 0 and 2 sit in the server's
+    # cloud (1e5 bytes/ms, 0.1 ms); node 1 is across clouds (1000 bytes/ms,
+    # 5 ms), so it is both the slowest upload and the slowest broadcast.
+    # A transfer costs bytes / rate + latency.
+    shards, test = _blob_setting(k=3, samples=150)
+    assert [s.count for s in shards] == [50, 50, 50]
+    train = 1 * 50 * 6 * 1e-6  # epochs x samples x params x 1e-6 ms
+    down = 8 * 6
+    if strategy == "fedavg":
+        up, crypto, server = 8 * 6, 0.0, 6 * 3 * 1e-6
+    else:  # 256-bit keys cost (256/512)^3 = 1/8 of the 512-bit figures
+        up = 12 + 6 * (4 + 256 // 4)
+        crypto = 6 * 0.35 / 8
+        server = 6 * (3 * 0.02 / 8 + 0.35 / 8)
+    cfg = FederationConfig(3, 1, strategy, _train_cfg(), seed=5,
+                           he_bits=256 if strategy == "he-fl" else None)
+    state = init_federation(cfg, shards, test)
+    state, record = run_round(state, cfg)
+    assert record.simulated_comm_bytes == 3 * up + 3 * down
+    inter = (train + crypto + up / 1000.0 + 5.0) + server + (down / 1000.0 + 5.0)
+    assert record.simulated_millis == pytest.approx(inter, rel=1e-12)
+    # with node 1 moved into the server's cloud every link is intra-cloud
+    state.nodes[1].cloud_id = state.nodes[0].cloud_id
+    intra_ms, comm = _simulate_round(state, cfg, [50, 50, 50])
+    intra = (train + crypto + up / 1e5 + 0.1) + server + (down / 1e5 + 0.1)
+    assert intra_ms == pytest.approx(intra, rel=1e-12)
+    assert intra_ms < record.simulated_millis
+    assert comm == record.simulated_comm_bytes
 
 
 # --- rounds ----------------------------------------------------------------
@@ -319,6 +339,34 @@ def test_he_aggregation_admits_single_update_at_codec_limit():
     state, cfg, params = _he_state_at_codec_limit()
     out = _aggregate_with_strategy(state, cfg, [(0, params, 1)], 0)
     assert np.array_equal(out.values, params.values)
+
+
+def test_smc_aggregation_checks_the_sum_over_nodes():
+    from crossfed.federation import _aggregate_with_strategy
+    from crossfed.privacy import reconstruct_sum, share
+
+    shards, test = _blob_setting(k=2, samples=100)
+    cfg = FederationConfig(2, 1, "smc-fl", _train_cfg(), seed=21)
+    state = init_federation(cfg, shards, test)
+    arch = state.global_params.arch
+
+    def updates(fraction):  # two nodes, each at fraction * 2^60 once scaled
+        w = fraction * 2.0**60 / SMC_SCALE
+        return [(node, ModelParams(arch, np.resize([w, -w], arch.param_count)), 1)
+                for node in range(2)]
+
+    # each node passes share's own check, but unchecked their sum of
+    # 1.5 * 2^60 passes half the field and decodes with the wrong sign
+    over = updates(0.75)
+    rng = np.random.default_rng(0)
+    wrapped = reconstruct_sum([share(p.values, SMC_SCALE, 2, rng) for _, p, _ in over])
+    assert np.array_equal(np.sign(wrapped), -np.sign(over[0][1].values))
+    with pytest.raises(CryptoRangeError, match="exceeds n/2"):
+        _aggregate_with_strategy(state, cfg, over, 0)
+    # a sum of 0.98 * 2^60 still fits and averages exactly
+    under = updates(0.49)
+    out = _aggregate_with_strategy(state, cfg, under, 0)
+    assert np.array_equal(out.values, under[0][1].values)
 
 
 def test_shard_count_must_match_nodes():

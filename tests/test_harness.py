@@ -102,6 +102,41 @@ path = {tmp_path / "missing.csv"}
     assert len(content) == 3  # header + 2 rows despite failures
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_survives_values_that_overflow_once_scaled(tmp_path):
+    # finite features near 1e300 train to parameters that are finite but
+    # overflow to inf once multiplied by the HE codec's scale of 2^40
+    data = tmp_path / "huge.csv"
+    lines = ["x0,x1,label"]
+    for i in range(60):
+        sign = 1 if i % 2 else -1
+        lines.append(f"{sign * (1 + i / 60) * 1e300!r},{(2 - i / 60) * 1e299!r},{i % 2}")
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.csv"
+    text = f"""\
+[experiment]
+strategies = fedavg, smc-fl, he-fl
+seeds = 1
+output = {out}
+
+[data]
+kind = csv
+path = {data}
+test_samples = 20
+
+[federation]
+nodes = 2
+max_rounds = 2
+he_bits = 256
+"""
+    rows = run_sweep(parse_config_text(text))
+    assert [r.strategy for r in rows] == ["fedavg", "smc-fl", "he-fl"]
+    assert rows[2].status.startswith("error:") and "non-finite" in rows[2].status
+    content = _read_rows(out)
+    assert [r[0] for r in content[1:]] == ["fedavg", "smc-fl", "he-fl"]
+    assert content[3][CSV_COLUMNS.index("status")] == rows[2].status
+
+
 def test_run_cell_reports_target(tmp_path):
     cfg = parse_config_text(SMALL.format(out=tmp_path / "x.csv"))
     cfg.target_accuracy = 0.5

@@ -14,6 +14,7 @@ from crossfed.paillier import (
     FixedPointCodec,
     add_cipher,
     aggregate_encrypted,
+    check_sum_headroom,
     decode_real,
     decrypt,
     decrypt_params,
@@ -177,6 +178,23 @@ def test_codec_overflow_rejected():
         encode_real(codec, float("nan"))
     with pytest.raises(CryptoRangeError):
         decode_real(codec, 35)
+    with pytest.raises(CryptoRangeError):  # finite, but inf once scaled by 2^40
+        encode_real(FixedPointCodec(1 << 512), 1e300)
+
+
+def test_sum_headroom_bound():
+    codec = FixedPointCodec(modulus=TOY[0].n, scale=1)  # sums need 2 * |s| < 35
+    check_sum_headroom(codec, [(np.array([8.0, -3.0]), 2)])  # 2 * 16 = 32
+    check_sum_headroom(codec, [(np.array([-9.0]), 1), (np.array([8.4]), 1)])  # 2 * 17
+    with pytest.raises(CryptoRangeError, match="exceeds n/2"):
+        check_sum_headroom(codec, [(np.array([0.0, 9.0]), 2)])  # 2 * 18 = 36
+    with pytest.raises(CryptoRangeError, match="exceeds n/2"):
+        check_sum_headroom(codec, [(np.array([-9.0]), 1), (np.array([9.0]), 1)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(CryptoRangeError, match="non-finite"):
+            check_sum_headroom(codec, [(np.array([0.0, bad]), 1)])
+    with pytest.raises(CryptoRangeError, match="non-finite"):  # inf once scaled
+        check_sum_headroom(FixedPointCodec(1 << 512), [(np.array([1e300]), 1)])
 
 
 # --- parameter vectors -----------------------------------------------------
