@@ -239,14 +239,18 @@ def _aggregate_with_strategy(
         total = sum(count for _, _, count in updates)
         return ModelParams(arch, reconstruct_sum(bundles) / total)
     # he: the ciphertexts are weighted by count after encryption
-    paillier.check_sum_headroom(state.codec, [(w.values, count) for _, w, count in updates])
+    bound = paillier.check_sum_headroom(
+        state.codec, [(w.values, count) for _, w, count in updates]
+    )
     encrypted = []
     for node_id, params, count in updates:
         rng = random.Random(derive_int(cfg.seed, _TAG_HE, node_id, round_index))
         cv = paillier.encrypt_params(state.pk, state.codec, params, rng, sk=state.sk)
         encrypted.append((cv, count))
     aggregate, total = paillier.aggregate_encrypted(state.pk, encrypted)
-    return paillier.decrypt_params(state.sk, state.pk, state.codec, aggregate, total, arch)
+    return paillier.decrypt_params(
+        state.sk, state.pk, state.codec, aggregate, total, arch, bound
+    )
 
 
 def _upload_bytes(strategy: str, param_count: int, num_nodes: int, he_bits) -> int:
@@ -271,6 +275,8 @@ def _simulate_round(
 
     protection = PRESETS[cfg.strategy][0]
     if protection == "he":
+        # prices d decryptions, although decrypt_params packs the sum into
+        # ceil(d / slots) ciphertexts; kept so simulated_millis stays as it was
         node_crypto = d * _he_ms(_MS_PER_HE_ELEMENT, cfg.he_bits)
         server_ms = d * (
             k * _he_ms(_MS_PER_HE_SCALARMUL, cfg.he_bits)

@@ -295,13 +295,23 @@ def test_he_round_encrypts_and_decrypts_once_per_parameter(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(paillier, name, counted)
+    bounds = []
+
+    def headroom(*args, _original=paillier.check_sum_headroom):
+        bounds.append(_original(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(paillier, "check_sum_headroom", headroom)
     shards, test = _blob_setting(k=3, samples=150)
     cfg = FederationConfig(3, 1, "he-fl", _train_cfg(), seed=7, he_bits=256)
     state = init_federation(cfg, shards, test)
     state, _ = run_round(state, cfg)
     d = state.global_params.arch.param_count
     assert len(calls["encrypt"]) == 3 * d
-    assert len(calls["decrypt"]) == d
+    # the sum is decrypted in packed slots of bound.bit_length() + 1 bits
+    (bound,) = bounds
+    slots = max(1, (state.pk.n.bit_length() - 2) // (bound.bit_length() + 1))
+    assert len(calls["decrypt"]) == -(-d // slots)
     assert all(sk is state.sk for sk in calls["encrypt"])
 
 

@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfed import paillier
 from crossfed.errors import CryptoRangeError, InvalidInputError
 from crossfed.models import ModelArch, ModelParams
 from crossfed.paillier import (
@@ -74,8 +76,16 @@ def test_prime_search_cap_raises(monkeypatch):
     from crossfed.errors import KeyGenError
 
     monkeypatch.setattr(mod, "_PRIME_SEARCH_CAP", 0)
+    keygen.cache_clear()  # an earlier test may have memoised keygen(256, 1)
     with pytest.raises(KeyGenError):
         keygen(256, seed=1)
+
+
+def test_keygen_memoised_on_bits_and_seed():
+    assert keygen(256, 77) is keygen(256, 77)
+    assert keygen(256, 77) is not keygen(256, 78)
+    assert keygen(256, 77)[0] != keygen(512, 77)[0]
+    assert keygen.__wrapped__(256, 77) == keygen(256, 77)  # a fresh search agrees
 
 
 def test_random_roundtrips_256(key256):
@@ -184,8 +194,10 @@ def test_codec_overflow_rejected():
 
 def test_sum_headroom_bound():
     codec = FixedPointCodec(modulus=TOY[0].n, scale=1)  # sums need 2 * |s| < 35
-    check_sum_headroom(codec, [(np.array([8.0, -3.0]), 2)])  # 2 * 16 = 32
-    check_sum_headroom(codec, [(np.array([-9.0]), 1), (np.array([8.4]), 1)])  # 2 * 17
+    assert check_sum_headroom(codec, [(np.array([8.0, -3.0]), 2)]) == 16  # 2 * 16 = 32
+    assert check_sum_headroom(codec, [(np.array([-9.0]), 1), (np.array([8.4]), 1)]) == 17
+    assert check_sum_headroom(codec, [(np.array([0.0, -0.0]), 3)]) == 0
+    assert check_sum_headroom(FixedPointCodec(1 << 64), [(np.array([-0.75]), 2)]) == 3 << 39
     with pytest.raises(CryptoRangeError, match="exceeds n/2"):
         check_sum_headroom(codec, [(np.array([0.0, 9.0]), 2)])  # 2 * 18 = 36
     with pytest.raises(CryptoRangeError, match="exceeds n/2"):
@@ -446,3 +458,78 @@ def test_mismatched_secret_key_rejected(key256):
         decrypt(toy_sk, pk, c)
     with pytest.raises(InvalidInputError):
         encrypt(pk, 5, random.Random(0), sk=toy_sk)
+
+
+# --- packed decryption of the aggregate ------------------------------------
+
+
+def _slots(n, bound):
+    # slots of bound.bit_length() + 1 bits, n.bit_length() - 2 bits per ciphertext
+    return max(1, (n.bit_length() - 2) // (bound.bit_length() + 1))
+
+
+def _decrypt_both_ways(key, sums, bound, divisor=1):
+    """Encrypt the signed integers ``sums`` as an aggregate would hold them;
+    return (packed decrypt_params values, per-element decrypt + decode_real
+    values, decryptions the packed path made)."""
+    pk, sk = key
+    codec = FixedPointCodec(pk.n)
+    rng = random.Random(len(sums))
+    cv = CipherVector([encrypt(pk, v % pk.n, rng, sk=sk) for v in sums], pk.bits)
+    arch = ModelArch(len(sums) - 1)
+    with mock.patch.object(paillier, "decrypt", wraps=paillier.decrypt) as counted:
+        packed = decrypt_params(sk, pk, codec, cv, divisor, arch, bound).values
+    single = np.array([decode_real(codec, decrypt(sk, pk, c)) for c in cv.elements])
+    return packed, single / divisor, counted.call_count
+
+
+@st.composite
+def _bounded_sums(draw):
+    key = draw(_KEYS)
+    limit = (key[0].n - 1) // 2  # the largest bound check_sum_headroom admits
+    bound = draw(st.one_of(st.just(0), st.just(limit), st.integers(0, limit)))
+    d = draw(st.integers(2, min(3 * _slots(key[0].n, bound) + 1, 40)))
+    value = st.one_of(st.sampled_from([-bound, bound]), st.integers(-bound, bound))
+    return key, bound, draw(st.lists(value, min_size=d, max_size=d))
+
+
+@settings(deadline=None)
+@given(_bounded_sums(), st.integers(1, 1000))
+def test_packed_decrypt_matches_per_element(case, divisor):
+    key, bound, sums = case
+    packed, single, calls = _decrypt_both_ways(key, sums, bound, divisor)
+    assert packed.tobytes() == single.tobytes()
+    assert calls == -(-len(sums) // _slots(key[0].n, bound))
+
+
+_KEY256 = keygen(256, seed=1234)
+_N = _KEY256[0].n
+_B50 = (1 << 50) - 1  # 51-bit slots: 4 per 256-bit ciphertext, 51 divides 255
+
+
+@pytest.mark.parametrize(
+    "bound, sums, calls",
+    [
+        ((_N - 1) // 2, [(_N - 1) // 2, -(_N - 1) // 2, 1 - _N // 2, 7], 4),  # s = 1
+        (0, [0] * 9, 1),  # 254 one-bit slots
+        (_B50, [_B50, -_B50, 3, -1, 0, _B50, -_B50 + 1, 2, -5, _B50], 3),  # 10 = 4 + 4 + 2
+        (_B50, [_B50, _B50, _B50, -_B50] * 2 + [-_B50], 3),  # negative top slots
+        (None, [_N // 2, -(_N // 2), _N // 2 - 1, 1 - _N // 2, 1, -1, 0], 7),  # no bound
+    ],
+    ids=["headroom-limit", "zero-bound", "ragged-groups", "negative-top-slot", "no-bound"],
+)
+def test_packed_decrypt_edge_cases(bound, sums, calls):
+    packed, single, made = _decrypt_both_ways(_KEY256, sums, bound, divisor=3)
+    assert packed.tobytes() == single.tobytes()
+    assert packed.tolist() == [v / (1 << 40) / 3 for v in sums]
+    assert made == calls
+
+
+def test_packed_decrypt_validation():
+    pk, sk = _KEY256
+    codec = FixedPointCodec(pk.n)
+    cv = encrypt_params(pk, codec, _params([1.0, 2.0]), random.Random(0))
+    with pytest.raises(InvalidInputError, match="bound"):
+        decrypt_params(sk, pk, codec, cv, 1, ModelArch(1), bound=-1)
+    with pytest.raises(CryptoRangeError):
+        decrypt_params(sk, pk, codec, CipherVector([1, pk.n_squared], 256), 1, ModelArch(1), 4)
