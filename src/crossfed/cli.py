@@ -2,7 +2,8 @@
 
 Subcommands:
   run           one training run (first strategy, no sweep), summary to stdout
-  sweep         full experiment grid, metrics CSV to the configured path
+  sweep         full experiment grid, metrics CSV to the configured path,
+                progress per cell and r^n memo reuse to stderr
   keygen        Paillier keypair to a JSON file
   print-config  canonical echo of a parsed config
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import paillier
 from .config import parse_config, render_config
@@ -38,7 +40,25 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     output = args.output or cfg.output
-    rows = _run_sweep(cfg, output)
+    start = time.perf_counter()
+    memo_before = paillier._r_to_the_n.cache_info()
+
+    def progress(done, total, row):
+        elapsed = time.perf_counter() - start
+        eta = elapsed / done * (total - done)
+        print(
+            f"cell {done}/{total} {row.strategy} value={row.sweep_param_value} "
+            f"seed={row.seed} {row.status} elapsed={elapsed:.1f}s eta={eta:.1f}s",
+            file=sys.stderr,
+        )
+
+    rows = _run_sweep(cfg, output, on_cell=progress)
+    memo = paillier._r_to_the_n.cache_info()
+    print(
+        f"r^n memo: {memo.hits - memo_before.hits} hits, "
+        f"{memo.misses - memo_before.misses} misses",
+        file=sys.stderr,
+    )
     failures = [r for r in rows if r.status != "ok"]
     print(f"wrote {len(rows)} rows to {output}")
     for row in failures:

@@ -202,16 +202,20 @@ def run_cell(
         return row, None
 
 
-def run_sweep(cfg: ExperimentConfig, output_path=None) -> list[MetricsRow]:
-    """Run the full grid in canonical order and write the metrics CSV."""
+def run_sweep(cfg: ExperimentConfig, output_path=None, on_cell=None) -> list[MetricsRow]:
+    """Run the full grid in canonical order and write the metrics CSV.
+
+    ``on_cell(done, total, row)``, if given, is called after each cell.
+    """
     values: list[float | None]
     values = [None] if cfg.sweep == "single" else list(cfg.sweep_values)
+    cells = [(s, v, seed) for s in cfg.strategies for v in values for seed in cfg.seeds]
     rows = []
-    for strategy in cfg.strategies:
-        for value in values:
-            for seed in cfg.seeds:
-                row, _ = run_cell(cfg, strategy, value, seed)
-                rows.append(row)
+    for strategy, value, seed in cells:
+        row, _ = run_cell(cfg, strategy, value, seed)
+        rows.append(row)
+        if on_cell is not None:
+            on_cell(len(rows), len(cells), row)
     write_metrics_csv(rows, output_path or cfg.output)
     return rows
 

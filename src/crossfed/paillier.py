@@ -12,6 +12,18 @@ and ``encrypt``/``encrypt_params`` do when given the secret key. The
 results are the same integers the public-key formulas give, 2-3.5x
 faster at 512-bit keys and up. ``keygen`` is memoised on (bits, seed).
 
+The key holder's r^n mod n^2, the whole cost of an encryption, depends
+only on the key and r, never on the plaintext, so ``_r_to_the_n`` is
+memoised on (secret key, r), up to 2^17 entries (about 300 bytes each at
+256-bit keys). The federation draws r from a stream seeded by (cell seed,
+node, round), and ``keygen`` gives cells with the same seed the same key,
+so the cells of a sweep that share a seed (``he-fl`` and ``ours``, each
+sweep value) reuse one another's randomisers, as common random numbers.
+Every ``encrypt`` still draws its r, and the ciphertexts are the same
+integers. A deployment must never reuse r across uploads; here r repeats
+only across simulated cells, never within one. The memo holds nothing
+that the ``keygen`` memo, which keeps the secret keys, does not already.
+
 The aggregator packs before it decrypts: ``decrypt_params`` shifts groups
 of summed ciphertexts homomorphically into the slots of one plaintext (as
 BatchCrypt packs, Zhang et al. 2020) and decrypts each group once, some
@@ -48,6 +60,10 @@ WIRE_MAGIC = b"FCS1"
 _MR_ROUNDS = 40
 _PRIME_SEARCH_CAP = 100_000
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# entries of the (secret key, r) -> r^n mod n^2 memo; the shipped sweeps
+# need up to ~93k distinct randomisers, and cells run strategy by strategy,
+# so a smaller LRU evicts an entry before the next cell with its seed asks
+_R_TO_THE_N_MEMO_SIZE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -178,10 +194,14 @@ def _check_pair(sk: PaillierPrivateKey, pk: PaillierPublicKey) -> None:
         raise InvalidInputError("secret key does not belong to the public key")
 
 
+@functools.lru_cache(maxsize=_R_TO_THE_N_MEMO_SIZE)
 def _r_to_the_n(sk: PaillierPrivateKey, r: int) -> int:
     """r^n mod n^2 by CRT. x^p mod p^2 depends only on x mod p, so
     r^n = (r^q)^p needs r^q only mod p, where Fermat shortens the exponent
-    (q mod (p-1) is never 0 for a valid key, so r = 0 mod p still gives 0)."""
+    (q mod (p-1) is never 0 for a valid key, so r = 0 mod p still gives 0).
+
+    Memoised on (sk, r): the frozen key hashes and compares by all of its
+    fields, so two keys never share an entry, even when they share a prime."""
     x_p = pow(pow(r, sk.q_mod_p1, sk.p), sk.p, sk.p_squared)
     x_q = pow(pow(r, sk.p_mod_q1, sk.q), sk.q, sk.q_squared)
     return x_q + sk.q_squared * ((x_p - x_q) * sk.q_squared_inv_p_squared % sk.p_squared)

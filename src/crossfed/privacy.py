@@ -2,8 +2,12 @@
 loss-threshold membership-inference metric used to score privacy.
 
 The DP path clips an update to L2 norm C and adds per-coordinate Gaussian
-noise calibrated by the analytic (epsilon, delta) formula; budgets compose
-linearly across rounds. The SMC path splits fixed-point-encoded updates
+noise calibrated by the classical (epsilon, delta) bound of Dwork and Roth
+(2014, Thm A.1), sigma = C * sqrt(2 ln(1.25 / delta)) / epsilon; budgets
+compose linearly across rounds. That theorem is proved only for
+epsilon < 1, but at delta = 1e-5 the exact Gaussian privacy curve (Balle
+and Wang 2018, Thm 8) shows the same sigma meets delta for every swept
+epsilon from 0.5 to 8. The SMC path splits fixed-point-encoded updates
 into additive shares over the prime field 2^61 - 1, encoded and decoded
 by the same ``paillier.FixedPointCodec`` the HE path uses.
 """
@@ -62,7 +66,8 @@ def clip_update(delta, clip_norm: float) -> np.ndarray:
 
 
 def gaussian_sigma(clip_norm: float, epsilon: float, delta: float) -> float:
-    """Analytic Gaussian-mechanism noise scale for (epsilon, delta)-DP."""
+    """Classical Gaussian-mechanism noise scale for (epsilon, delta)-DP
+    (Dwork and Roth 2014, Thm A.1): C * sqrt(2 ln(1.25 / delta)) / epsilon."""
     if clip_norm <= 0.0:
         raise InvalidInputError(f"clip_norm must be positive, got {clip_norm}")
     if epsilon <= 0.0:

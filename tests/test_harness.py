@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from crossfed import harness
+from crossfed import harness, paillier
 from crossfed.cli import main
 from crossfed.config import parse_config_text
 from crossfed.federation import PRESETS, STRATEGIES, run_training
@@ -168,6 +168,63 @@ def test_run_cell_builds_preset_extras(tmp_path, monkeypatch, strategy):
     assert (fed_cfg.extractor is not None) == front_end
 
 
+# --- reuse of the key holder's randomisers across cells ----------------------
+
+HE_PAIR = (
+    SMALL.replace("strategies = fedavg", "strategies = he-fl, ours")
+    .replace("separation = 6.0", "separation = 0.5")  # accuracy 1.0 stays out of reach
+    .replace("target_accuracy = 1.0", "target_accuracy = 1.0\nhe_bits = 256")
+    + "\n[extractor]\noutput_dim = 8\n"
+)
+HE_PAIR_SWEEP = HE_PAIR.replace("sweep = single", "sweep = lr\nsweep_values = 0.01, 0.05")
+
+
+def _rows_without_wall_clock(path):
+    rows = _read_rows(path)
+    wall = CSV_COLUMNS.index("wall_millis_total")
+    for row in rows[1:]:
+        row[wall] = "-"
+    return rows
+
+
+def test_cells_sharing_a_seed_reuse_randomisers(tmp_path, monkeypatch):
+    cfg = parse_config_text(HE_PAIR.format(out=tmp_path / "x.csv"))
+    encrypted = []
+
+    def counted(*args, _original=paillier.encrypt, **kwargs):
+        encrypted.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(paillier, "encrypt", counted)
+    memo = paillier._r_to_the_n
+    memo.cache_clear()
+    _, he = run_cell(cfg, "he-fl", None, 1)
+    assert len(he.records) == cfg.max_rounds
+    # no r repeats inside a cell: every lookup of the he-fl cell misses
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (0, len(encrypted))
+    _, ours = run_cell(cfg, "ours", None, 1)
+    assert len(ours.records) == cfg.max_rounds
+    d_he, d_ours = he.final_params.arch.param_count, ours.final_params.arch.param_count
+    assert (d_he, d_ours) == (5, 9)
+    # ours draws the same r's per (node, round), so its first d_he coordinates hit
+    lookups = cfg.nodes * cfg.max_rounds
+    assert memo.cache_info().hits == lookups * min(d_he, d_ours)
+    assert memo.cache_info().misses == lookups * (d_he + d_ours - min(d_he, d_ours))
+    assert len(encrypted) == lookups * (d_he + d_ours)
+
+
+def test_sweep_csv_same_with_memo_bypassed(tmp_path, monkeypatch):
+    cfg = parse_config_text(HE_PAIR_SWEEP.format(out=tmp_path / "m.csv"))
+    paillier._r_to_the_n.cache_clear()
+    run_sweep(cfg, tmp_path / "memo.csv")
+    assert paillier._r_to_the_n.cache_info().hits > 0
+    monkeypatch.setattr(paillier, "_r_to_the_n", paillier._r_to_the_n.__wrapped__)
+    run_sweep(cfg, tmp_path / "bypass.csv")
+    memo = _rows_without_wall_clock(tmp_path / "memo.csv")
+    assert len(memo) == 1 + 4
+    assert memo == _rows_without_wall_clock(tmp_path / "bypass.csv")
+
+
 # --- cli ---------------------------------------------------------------------
 
 
@@ -178,6 +235,29 @@ def test_cli_sweep_and_exit_code(tmp_path, capsys):
     assert main(["sweep", "-c", str(conf)]) == 0
     assert out.exists()
     assert "wrote 1 rows" in capsys.readouterr().out
+
+
+def test_cli_sweep_reports_progress_on_stderr(tmp_path, capsys):
+    conf = tmp_path / "exp.ini"
+    conf.write_text(HE_PAIR_SWEEP.format(out=tmp_path / "cli.csv"))
+    paillier._r_to_the_n.cache_clear()
+    assert main(["sweep", "-c", str(conf)]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"wrote 4 rows to {tmp_path / 'cli.csv'}\n"
+    lines = err.splitlines()
+    assert len(lines) == 4 + 1
+    cells = [("he-fl", 0.01), ("he-fl", 0.05), ("ours", 0.01), ("ours", 0.05)]
+    for i, (line, (strategy, value)) in enumerate(zip(lines, cells), start=1):
+        assert line.startswith(f"cell {i}/4 {strategy} value={value} seed=1 ok elapsed=")
+        assert " eta=" in line
+    # r depends on (seed, node, round) only: 3 nodes x 3 rounds x 9 distinct
+    # r's, of which the first he-fl cell draws 5 and the first ours cell 9
+    assert lines[-1] == "r^n memo: 171 hits, 81 misses"
+    # the CSV is the one run_sweep writes without the callback
+    run_sweep(parse_config_text(conf.read_text()), tmp_path / "lib.csv")
+    assert _rows_without_wall_clock(tmp_path / "cli.csv") == _rows_without_wall_clock(
+        tmp_path / "lib.csv"
+    )
 
 
 def test_cli_sweep_fails_on_bad_cells(tmp_path):

@@ -460,6 +460,54 @@ def test_mismatched_secret_key_rejected(key256):
         encrypt(pk, 5, random.Random(0), sk=toy_sk)
 
 
+# --- memo of the key holder's r^n -------------------------------------------
+
+
+@st.composite
+def _keys_and_randomisers(draw):
+    pk, sk = draw(st.sampled_from([TOY] + _SEEDED_KEYS))
+    n = pk.n
+    pinned = st.sampled_from([0, 1, n - 1, sk.p, sk.q * 3, n, n + 1, n * n - 1])
+    from_rng = st.integers(0, 2**32).map(lambda seed: random.Random(seed).randrange(1, n))
+    rs = draw(st.lists(st.one_of(pinned, from_rng, st.integers(n, 2 * n * n)), max_size=4))
+    return pk, sk, rs
+
+
+@settings(deadline=None)
+@given(st.lists(_keys_and_randomisers(), min_size=1, max_size=3))
+def test_r_to_the_n_memo_matches_unmemoised(cases):
+    # every key sees every key's r's, so an entry keyed on too little would leak
+    rs = [r for _, _, key_rs in cases for r in key_rs]
+    for pk, sk, _ in cases:
+        for r in rs:
+            expected = pow(r, pk.n, pk.n_squared)
+            assert paillier._r_to_the_n.__wrapped__(sk, r) == expected
+            assert paillier._r_to_the_n(sk, r) == expected
+            assert paillier._r_to_the_n(sk, r) == expected  # served by the memo
+
+
+def test_r_to_the_n_memo_separates_keys_sharing_a_prime():
+    # (5, 11) is no Paillier key (gcd(55, 4 * 10) = 5), so (5, 13) shares p = 5
+    (pk_a, sk_a), (pk_b, sk_b) = TOY, keypair_from_primes(5, 13)
+    assert sk_a.p == sk_b.p
+    paillier._r_to_the_n.cache_clear()
+    for r in (2, 3, 12, 34):
+        for pk, sk in ((pk_a, sk_a), (pk_b, sk_b), (pk_a, sk_a)):
+            assert paillier._r_to_the_n(sk, r) == pow(r, pk.n, pk.n_squared)
+    info = paillier._r_to_the_n.cache_info()
+    assert (info.hits, info.misses) == (4, 8)
+    assert info.maxsize == 1 << 17
+
+
+def test_encrypt_reuses_the_memo_without_changing_ciphertexts(key256):
+    pk, sk = key256
+    paillier._r_to_the_n.cache_clear()
+    first = [encrypt(pk, m, random.Random(9), sk=sk) for m in (0, 5, pk.n - 1)]
+    info = paillier._r_to_the_n.cache_info()
+    assert (info.hits, info.misses) == (2, 1)  # one r, three plaintexts
+    assert first == [encrypt(pk, m, random.Random(9)) for m in (0, 5, pk.n - 1)]
+
+
 # --- packed decryption of the aggregate ------------------------------------
 
 

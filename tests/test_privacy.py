@@ -71,6 +71,32 @@ def test_sigma_reference_value():
     assert abs(gaussian_sigma(1.0, 1.0, 1e-5) - 4.844) < 1e-3
 
 
+def _exact_gaussian_delta(sigma, eps, sensitivity):
+    # the exact privacy curve of the Gaussian mechanism (Balle & Wang 2018, Thm 8):
+    # delta = Phi(D/2s - eps*s/D) - e^eps * Phi(-D/2s - eps*s/D)
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    a, b = sensitivity / (2.0 * sigma), eps * sigma / sensitivity
+    return phi(a - b) - math.exp(eps) * phi(-a - b)
+
+
+@pytest.mark.parametrize(
+    "eps, exact",
+    [(0.5, 1.6e-8), (1.0, 4.1e-8), (2.0, 1.3e-7), (4.0, 6.8e-7), (8.0, 8.0e-6)],
+)
+def test_classical_sigma_meets_delta_on_the_exact_curve(eps, exact):
+    # the classical bound is proved only for eps < 1; the exact curve shows
+    # it still meets delta = 1e-5 at every swept eps, with little margin at 8
+    delta = _exact_gaussian_delta(gaussian_sigma(1.0, eps, 1e-5), eps, 1.0)
+    assert delta < 1e-5
+    assert delta == pytest.approx(exact, rel=0.05)
+    # scaling the clip norm scales sigma and the sensitivity alike
+    assert _exact_gaussian_delta(gaussian_sigma(3.0, eps, 1e-5), eps, 3.0) == pytest.approx(delta)
+    # and the check can fail: half the noise breaks delta
+    assert _exact_gaussian_delta(gaussian_sigma(1.0, eps, 1e-5) / 2, eps, 1.0) > 1e-5
+
+
 def test_sigma_rejects_bad_ranges():
     with pytest.raises(InvalidInputError):
         gaussian_sigma(1.0, 0.0, 1e-5)
