@@ -12,6 +12,7 @@ and for ``h = 0``: ``[w (d) | b (1)]``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ from .rngutil import seed_sequence
 # Predicted probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP]
 # before any log so the cross-entropy stays finite.
 PROB_CLAMP = 1e-12
+# entries of the epoch-order memo: 0.9 MiB when full at the shipped sweeps'
+# one epoch over 400-sample shards
+_EPOCH_ORDERS_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -139,10 +143,16 @@ def _forward(arch: ModelArch, values: np.ndarray, x: np.ndarray):
     """Batch logits plus hidden activations (None for logistic)."""
     d = arch.input_dim
     if arch.hidden_units == 0:
-        return x @ values[:d] + values[d], None
+        logits = x @ values[:d]
+        logits += values[d]
+        return logits, None
     w1, b1, w2, b2 = _unpack_mlp(arch, values)
-    hidden = np.tanh(x @ w1.T + b1)
-    return hidden @ w2 + b2, hidden
+    hidden = x @ w1.T
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ w2
+    logits += b2
+    return logits, hidden
 
 
 def predict_proba(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -189,20 +199,36 @@ def accuracy(params: ModelParams, data: LabeledDataset) -> float:
 
 
 def _gradient_values(
-    arch: ModelArch, values: np.ndarray, x: np.ndarray, y: np.ndarray
+    arch: ModelArch, values: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
+    """Mean loss gradient over the batch, written into ``out``.
+
+    In-place ufuncs apply the operations of ``(_sigmoid(z) - y) / n`` and of
+    the backward pass in the same order, so every value is bitwise the same.
+    """
     n = x.shape[0]
-    logits, hidden = _forward(arch, values, x)
-    r = (_sigmoid(logits) - y) / n  # dLoss/dlogit, already averaged
-    if arch.hidden_units == 0:
-        return np.concatenate([x.T @ r, [r.sum()]])
-    _, _, w2, _ = _unpack_mlp(arch, values)
-    g_w2 = hidden.T @ r
-    g_b2 = r.sum()
-    dh = (r[:, None] * w2[None, :]) * (1.0 - hidden * hidden)
-    g_w1 = dh.T @ x
-    g_b1 = dh.sum(axis=0)
-    return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
+    r, hidden = _forward(arch, values, x)
+    r *= 0.5  # _sigmoid, in place
+    np.tanh(r, out=r)
+    r += 1.0
+    r *= 0.5
+    r -= y
+    r /= n  # dLoss/dlogit, already averaged
+    d, h = arch.input_dim, arch.hidden_units
+    if h == 0:
+        np.matmul(x.T, r, out=out[:d])
+        out[d] = r.sum()
+        return out
+    w2 = values[h * d + h : h * d + 2 * h]
+    np.matmul(hidden.T, r, out=out[h * d + h : h * d + 2 * h])  # w2
+    out[-1] = r.sum()  # b2
+    dh = r[:, None] * w2[None, :]
+    hidden *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    dh *= hidden
+    np.matmul(dh.T, x, out=out[: h * d].reshape(h, d))  # W1
+    np.add.reduce(dh, axis=0, out=out[h * d : h * d + h])  # b1
+    return out
 
 
 def gradient(params: ModelParams, batch: LabeledDataset) -> np.ndarray:
@@ -214,8 +240,27 @@ def gradient(params: ModelParams, batch: LabeledDataset) -> np.ndarray:
             f"batch dim {batch.dim} does not match input_dim {params.arch.input_dim}"
         )
     return _gradient_values(
-        params.arch, params.values, batch.features, batch.labels.astype(np.float64)
+        params.arch,
+        params.values,
+        batch.features,
+        batch.labels.astype(np.float64),
+        np.empty_like(params.values),
     )
+
+
+@functools.lru_cache(maxsize=_EPOCH_ORDERS_MEMO_SIZE)
+def _epoch_orders(seed: int, count: int, epochs: int) -> tuple[np.ndarray, ...]:
+    """The sample order of each epoch of ``local_train``, read-only.
+
+    Memoised: the cells of a sweep that share a seed train every node on
+    the same shuffles, whatever their strategy or sweep value. An entry
+    holds epochs * count int64 indices.
+    """
+    rng = np.random.default_rng(seed_sequence(seed))
+    orders = tuple(rng.permutation(count) for _ in range(epochs))
+    for order in orders:
+        order.flags.writeable = False
+    return orders
 
 
 def local_train(
@@ -232,17 +277,18 @@ def local_train(
         raise InvalidInputError(
             f"dataset dim {data.dim} does not match input_dim {params.arch.input_dim}"
         )
-    rng = np.random.default_rng(seed_sequence(cfg.rng_seed))
+    arch, size = params.arch, cfg.batch_size
     values = params.values.copy()
+    grad = np.empty_like(values)
     x, y = data.features, data.labels.astype(np.float64)
-    for epoch in range(cfg.local_epochs):
-        order = rng.permutation(data.count)
-        for start in range(0, data.count, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            grad = _gradient_values(params.arch, values, x[idx], y[idx])
-            if not np.all(np.isfinite(grad)):
+    for epoch, order in enumerate(_epoch_orders(cfg.rng_seed, data.count, cfg.local_epochs)):
+        xs, ys = x[order], y[order]  # one gather per epoch; batches are slices
+        for start in range(0, data.count, size):
+            _gradient_values(arch, values, xs[start : start + size], ys[start : start + size], grad)
+            if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient in epoch {epoch}")
-            values -= cfg.learning_rate * grad
+            grad *= cfg.learning_rate
+            values -= grad
     trained = ModelParams(params.arch, values)
     return trained, dataset_loss(trained, data)
 

@@ -277,8 +277,9 @@ class FixedPointCodec:
     scale: int = DEFAULT_SCALE
 
     def __post_init__(self):
-        if self.scale < 1:
-            raise InvalidInputError(f"scale must be >= 1, got {self.scale}")
+        # a power of two keeps x * scale and v / scale exact in float64
+        if self.scale < 1 or self.scale & (self.scale - 1):
+            raise InvalidInputError(f"scale must be a power of two, got {self.scale}")
         if self.modulus < 4:
             raise InvalidInputError(f"modulus must be >= 4, got {self.modulus}")
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crossfed import models, rngutil
 from crossfed.datasets import SyntheticSpec, generate
 from crossfed.errors import InvalidInputError, NumericError
 from crossfed.models import (
@@ -20,6 +23,7 @@ from crossfed.models import (
     predict,
     predict_proba,
 )
+from crossfed.rngutil import derive_int, seed_sequence
 
 
 def make_params(arch, values):
@@ -246,6 +250,124 @@ def test_full_batch_loss_monotone_for_small_lr():
         )
         losses.append(loss)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+# --- local_train against the allocating loop it replaced -------------------
+
+
+def _oracle_forward(arch, values, x):
+    d, h = arch.input_dim, arch.hidden_units
+    if h == 0:
+        return x @ values[:d] + values[d], None
+    w1 = values[: h * d].reshape(h, d)
+    b1 = values[h * d : h * d + h]
+    w2 = values[h * d + h : h * d + 2 * h]
+    hidden = np.tanh(x @ w1.T + b1)
+    return hidden @ w2 + values[h * d + 2 * h], hidden
+
+
+def _oracle_sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def _oracle_gradient(arch, values, x, y):
+    n = x.shape[0]
+    logits, hidden = _oracle_forward(arch, values, x)
+    r = (_oracle_sigmoid(logits) - y) / n
+    if arch.hidden_units == 0:
+        return np.concatenate([x.T @ r, [r.sum()]])
+    d, h = arch.input_dim, arch.hidden_units
+    w2 = values[h * d + h : h * d + 2 * h]
+    g_w2 = hidden.T @ r
+    g_b2 = r.sum()
+    dh = (r[:, None] * w2[None, :]) * (1.0 - hidden * hidden)
+    g_w1 = dh.T @ x
+    g_b1 = dh.sum(axis=0)
+    return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
+
+
+def _oracle_local_train(params, data, cfg):
+    """One fresh generator per call, a fancy-indexed copy per batch and a
+    new gradient vector per step; returns (values, mean loss)."""
+    rng = np.random.default_rng(seed_sequence(cfg.rng_seed))
+    values = params.values.copy()
+    x, y = data.features, data.labels.astype(np.float64)
+    for epoch in range(cfg.local_epochs):
+        order = rng.permutation(data.count)
+        for start in range(0, data.count, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            grad = _oracle_gradient(params.arch, values, x[idx], y[idx])
+            if not np.all(np.isfinite(grad)):
+                raise NumericError(f"non-finite gradient in epoch {epoch}")
+            values -= cfg.learning_rate * grad
+    logits, _ = _oracle_forward(params.arch, values, x)
+    p = np.clip(_oracle_sigmoid(logits), models.PROB_CLAMP, 1.0 - models.PROB_CLAMP)
+    return values, float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    hidden=st.sampled_from([0, 1, 6]),
+    input_dim=st.integers(1, 5),
+    count=st.integers(1, 40),
+    batch=st.sampled_from(["one", "ragged", "larger"]),
+    epochs=st.integers(0, 3),
+    lr=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_local_train_bitwise_equals_allocating_loop(
+    hidden, input_dim, count, batch, epochs, lr, seed
+):
+    rng = np.random.default_rng(seed)
+    arch = ModelArch(input_dim, hidden)
+    params = make_params(arch, rng.uniform(-1.5, 1.5, arch.param_count))
+    data = LabeledDataset(rng.normal(0.0, 2.0, (count, input_dim)), rng.integers(0, 2, count))
+    # "ragged" does not divide the count (a count of 1 or 2 has no such size)
+    size = {"one": 1, "ragged": max(1, count // 2 + 1) if count > 2 else 1,
+            "larger": count + 3}[batch]
+    cfg = TrainConfig(lr, epochs, size, rng_seed=seed)
+    before = params.values.copy()
+    trained, loss = local_train(params, data, cfg)
+    values, expected_loss = _oracle_local_train(params, data, cfg)
+    assert trained.values.tobytes() == values.tobytes()
+    assert repr(loss) == repr(expected_loss)
+    assert params.values.tobytes() == before.tobytes()
+
+
+def test_gradient_bitwise_equals_allocating_gradient():
+    rng = np.random.default_rng(21)
+    for hidden in (0, 1, 6):
+        for n in (1, 3, 7, 32):
+            params, data = random_case(rng, hidden, input_dim=4, batch=n)
+            expected = _oracle_gradient(
+                params.arch, params.values, data.features, data.labels.astype(np.float64)
+            )
+            assert gradient(params, data).tobytes() == expected.tobytes()
+
+
+# --- seed memos --------------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4))
+def test_derive_int_memo_equals_unmemoised(parts):
+    assert derive_int(*parts) == derive_int.__wrapped__(*parts)
+    assert derive_int(*parts) == derive_int.__wrapped__(*parts)  # now a hit
+    assert derive_int.cache_info().maxsize == rngutil._DERIVE_INT_MEMO_SIZE
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 50), st.integers(0, 4))
+def test_epoch_orders_are_fresh_permutations_and_read_only(seed, count, epochs):
+    orders = models._epoch_orders(seed, count, epochs)
+    assert models._epoch_orders(seed, count, epochs) is orders  # memoised
+    rng = np.random.default_rng(seed_sequence(seed))
+    assert len(orders) == epochs
+    for order in orders:
+        assert np.array_equal(order, rng.permutation(count))
+        with pytest.raises(ValueError):
+            order[0] = 0
+    assert models._epoch_orders.cache_info().maxsize == models._EPOCH_ORDERS_MEMO_SIZE
 
 
 # --- deltas ----------------------------------------------------------------

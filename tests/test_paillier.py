@@ -192,6 +192,14 @@ def test_codec_overflow_rejected():
         encode_real(FixedPointCodec(1 << 512), 1e300)
 
 
+def test_codec_scale_must_be_a_power_of_two():
+    for scale in (1, 2, 1 << 20, 1 << 40, 1 << 80):
+        assert FixedPointCodec(1 << 64, scale).scale == scale
+    for scale in (0, -4, 3, 6, (1 << 20) + 1, 10**6):
+        with pytest.raises(InvalidInputError, match="power of two"):
+            FixedPointCodec(1 << 64, scale)
+
+
 def test_sum_headroom_bound():
     codec = FixedPointCodec(modulus=TOY[0].n, scale=1)  # sums need 2 * |s| < 35
     assert check_sum_headroom(codec, [(np.array([8.0, -3.0]), 2)]) == 16  # 2 * 16 = 32

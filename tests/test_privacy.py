@@ -14,12 +14,15 @@ from crossfed.models import (
     init_params,
     local_train,
 )
+from crossfed.paillier import FixedPointCodec, decode_real, encode_real
 from crossfed.privacy import (
     SMC_FIELD_PRIME,
     SMC_SCALE,
     DpConfig,
+    ShareBundle,
     clip_update,
     dp_privatize,
+    gaussian_delta,
     gaussian_sigma,
     membership_advantage,
     reconstruct_field_sum,
@@ -95,6 +98,57 @@ def test_classical_sigma_meets_delta_on_the_exact_curve(eps, exact):
     assert _exact_gaussian_delta(gaussian_sigma(3.0, eps, 1e-5), eps, 3.0) == pytest.approx(delta)
     # and the check can fail: half the noise breaks delta
     assert _exact_gaussian_delta(gaussian_sigma(1.0, eps, 1e-5) / 2, eps, 1.0) > 1e-5
+
+
+@pytest.mark.parametrize(
+    "eps, exact",
+    [(0.5, 1.6e-8), (1.0, 4.1e-8), (2.0, 1.3e-7), (4.0, 6.8e-7), (8.0, 8.0e-6)],
+)
+def test_gaussian_delta_pinned_values(eps, exact):
+    sigma = gaussian_sigma(1.0, eps, 1e-5)
+    assert gaussian_delta(sigma, eps, 1.0) == pytest.approx(exact, rel=0.05)
+    assert gaussian_delta(sigma, eps, 1.0) == pytest.approx(
+        _exact_gaussian_delta(sigma, eps, 1.0), rel=1e-12
+    )
+    assert gaussian_delta(3.0 * sigma, eps, 3.0) == pytest.approx(gaussian_delta(sigma, eps, 1.0))
+
+
+_SIGMA = st.floats(0.05, 50.0)
+_EPS = st.floats(0.0, 20.0)
+_STEP = st.floats(1e-3, 10.0)
+
+
+@settings(deadline=None)
+@given(_SIGMA, _EPS, st.floats(0.1, 10.0), _STEP)
+def test_gaussian_delta_falls_as_sigma_grows(sigma, eps, sensitivity, step):
+    low = gaussian_delta(sigma, eps, sensitivity)
+    high = gaussian_delta(sigma * (1.0 + step), eps, sensitivity)
+    assert 0.0 <= high <= low <= 1.0
+    assert high < low or low in (0.0, 1.0)  # flat only where it saturates
+
+
+@settings(deadline=None)
+@given(_SIGMA, _EPS, st.floats(0.1, 10.0), _STEP)
+def test_gaussian_delta_falls_as_epsilon_grows(sigma, eps, sensitivity, step):
+    low = gaussian_delta(sigma, eps, sensitivity)
+    high = gaussian_delta(sigma, eps + step, sensitivity)
+    assert 0.0 <= high <= low <= 1.0
+    assert high < low or low in (0.0, 1.0)  # flat only where it saturates
+
+
+@settings(deadline=None)
+@given(st.floats(1e-3, 0.999), st.floats(1e-12, 0.3), st.floats(0.1, 10.0))
+def test_classical_calibration_meets_delta_below_epsilon_one(eps, delta, clip_norm):
+    # the range where Dwork and Roth prove the classical bound
+    sigma = gaussian_sigma(clip_norm, eps, delta)
+    assert gaussian_delta(sigma, eps, clip_norm) <= delta
+
+
+def test_gaussian_delta_rejects_bad_ranges():
+    for args in [(0.0, 1.0, 1.0), (1.0, -0.5, 1.0), (1.0, 1.0, 0.0), (math.nan, 1.0, 1.0),
+                 (1.0, math.inf, 1.0)]:
+        with pytest.raises(InvalidInputError):
+            gaussian_delta(*args)
 
 
 def test_sigma_rejects_bad_ranges():
@@ -185,7 +239,7 @@ def test_share_marginal_uniformity():
     draws = []
     for _ in range(100):
         bundle = share(np.zeros(1000), SMC_SCALE, 2, rng)
-        draws.extend(bundle.shares[0])
+        draws.extend(bundle.shares[0].tolist())
     buckets = np.bincount(
         [d * 16 // SMC_FIELD_PRIME for d in draws], minlength=16
     ) / len(draws)
@@ -204,6 +258,112 @@ def test_share_validation():
         reconstruct_sum([a, b])
     with pytest.raises(InvalidInputError):
         reconstruct_sum([])
+
+
+# --- sharing against the Python-int implementation it replaced ---------------
+
+
+def _oracle_share(update, scale, num_parties, rng):
+    p = SMC_FIELD_PRIME
+    codec = FixedPointCodec(p, scale)
+    encoded = [encode_real(codec, x) for x in update.tolist()]
+    first = rng.integers(0, p, size=(num_parties - 1, update.size)).tolist()
+    last = [(e - sum(column)) % p for e, column in zip(encoded, zip(*first))]
+    return first + [last]
+
+
+def _oracle_field_sum(share_rows):
+    rows = [row for rows in share_rows for row in rows]
+    return [sum(column) % SMC_FIELD_PRIME for column in zip(*rows)]
+
+
+def _largest_encodable(scale):
+    # the largest float whose scaled value stays below p/2 = 2^60 - 1/2
+    return float(np.nextafter(2.0**60, 0.0)) / scale
+
+
+_SCALES = st.sampled_from([1, SMC_SCALE, 1 << 40])
+
+
+def _coordinates(scale):
+    top = _largest_encodable(scale)
+    # the extremes, ties that round half to even, and arbitrary reals
+    pinned = [top, -top, 0.0, -0.0, 0.5 / scale, -0.5 / scale, 1.5 / scale,
+              -2.5 / scale, (2.0**53 - 1.0) / scale]
+    return st.one_of(st.sampled_from(pinned), st.floats(-top, top))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    _SCALES.flatmap(lambda scale: st.tuples(
+        st.just(scale),
+        st.integers(1, 6).flatmap(lambda d: st.lists(
+            st.lists(_coordinates(scale), min_size=d, max_size=d), min_size=1, max_size=4)),
+    )),
+    st.integers(2, 16),
+    st.integers(0, 2**32),
+)
+def test_share_and_sums_equal_python_int_oracle(scaled_nodes, parties, seed):
+    scale, nodes = scaled_nodes
+    updates = [np.array(n, dtype=np.float64) for n in nodes]
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    bundles = [share(u, scale, parties, rng) for u in updates]
+    expected = [_oracle_share(u, scale, parties, oracle_rng) for u in updates]
+    for bundle, rows in zip(bundles, expected):
+        assert bundle.shares.dtype == np.int64 and bundle.shares.shape == (parties, len(nodes[0]))
+        assert bundle.shares.tolist() == rows
+    totals = _oracle_field_sum(expected)
+    assert reconstruct_field_sum(bundles) == totals
+    codec = FixedPointCodec(SMC_FIELD_PRIME, scale)
+    decoded = np.array([decode_real(codec, t) for t in totals], dtype=np.float64)
+    assert reconstruct_sum(bundles).tobytes() == decoded.tobytes()
+
+
+@pytest.mark.parametrize("parties, nodes", [(2, 1), (8, 1), (16, 16)])
+def test_field_sum_of_largest_residues_is_exact(parties, nodes):
+    # every residue at p - 1: the largest sums any reduction schedule must hold
+    p = SMC_FIELD_PRIME
+    top = np.full((parties, 3), p - 1, dtype=np.int64)
+    bundles = [ShareBundle(p, SMC_SCALE, top) for _ in range(nodes)]
+    assert reconstruct_field_sum(bundles) == [parties * nodes * (p - 1) % p] * 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308, 2.0**60, -(2.0**60)])
+def test_share_raises_encode_real_error_for_first_bad_coordinate(bad):
+    # 1e308 is finite but inf once scaled; 2^60 / scale is p/2 once scaled
+    value = bad if bad == 1e308 or not math.isfinite(bad) else bad / SMC_SCALE
+    codec = FixedPointCodec(SMC_FIELD_PRIME, SMC_SCALE)
+    with pytest.raises(CryptoRangeError) as expected:
+        encode_real(codec, value)
+    later = math.nan if not math.isnan(value) else math.inf  # a different message
+    update = np.array([0.25, _largest_encodable(SMC_SCALE), value, later, 1.0])
+    with pytest.raises(CryptoRangeError) as raised:
+        share(update, SMC_SCALE, 3, np.random.default_rng(0))
+    assert str(raised.value) == str(expected.value)
+
+
+def test_share_bundle_validation():
+    p = SMC_FIELD_PRIME
+    good = np.array([[0, 1], [p - 1, 2]], dtype=np.int64)
+    ShareBundle(p, SMC_SCALE, good)
+    bad_shares = [
+        ((0, 1), (2, 3)),  # tuples, not an array
+        good.astype(np.float64),
+        good.astype(np.uint64),
+        good[0],  # 1-D
+        good[:1],  # one row
+        np.array([[0, -1], [0, 0]], dtype=np.int64),
+        np.array([[0, p], [0, 0]], dtype=np.int64),
+    ]
+    for shares in bad_shares:
+        with pytest.raises(InvalidInputError):
+            ShareBundle(p, SMC_SCALE, shares)
+    with pytest.raises(InvalidInputError):
+        ShareBundle((1 << 62) + 1, SMC_SCALE, good)  # above the field bound
+    with pytest.raises(InvalidInputError, match="power of two"):
+        ShareBundle(p, 3, good)
+    with pytest.raises(InvalidInputError):
+        share(np.ones(2), 3, 2, np.random.default_rng(0))  # scale not a power of two
 
 
 # --- membership inference ----------------------------------------------------
