@@ -3,7 +3,8 @@
 Subcommands:
   run           one training run (first strategy, no sweep), summary to stdout
   sweep         full experiment grid, metrics CSV to the configured path,
-                progress per cell and r^n memo reuse to stderr
+                progress per cell, r^n memo reuse and the modexp backend
+                to stderr
   keygen        Paillier keypair to a JSON file
   print-config  canonical echo of a parsed config
 """
@@ -59,6 +60,11 @@ def _cmd_sweep(args) -> int:
         f"{memo.misses - memo_before.misses} misses",
         file=sys.stderr,
     )
+    # the backend is a property of the process, not of the sweep: this line
+    # goes to the process's own stderr, so a caller that captures
+    # sys.stderr (as the tests of the progress lines do) sees only the
+    # per-sweep lines
+    print(f"modexp: {paillier.MODEXP_BACKEND}", file=sys.__stderr__, flush=True)
     failures = [r for r in rows if r.status != "ok"]
     print(f"wrote {len(rows)} rows to {output}")
     for row in failures:

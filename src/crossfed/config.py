@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 from . import datasets, features
 from .errors import ConfigError
-from .federation import STRATEGIES
+from .federation import PRESETS, STRATEGIES
 from .paillier import KEY_BITS_CHOICES
+from .privacy import gaussian_delta, gaussian_sigma
 
 SWEEP_KINDS = ("privacy", "hidden", "lr", "single")
 DATA_KINDS = datasets.KINDS + ("csv",)
@@ -224,6 +225,19 @@ def _validate(cfg: ExperimentConfig, text: str, present: set[tuple[str, str]]) -
     check(cfg.dp_epsilon > 0, "dp", "epsilon", "must be positive")
     check(0 < cfg.dp_delta < 1, "dp", "delta", "must be in (0, 1)")
     check(cfg.dp_clip_norm > 0, "dp", "clip_norm", "must be positive")
+    if any(PRESETS[s][0] == "dp" for s in cfg.strategies):
+        # the classical sigma is proved only for epsilon < 1; past that it
+        # can miss delta, so check it against the exact curve
+        if cfg.sweep == "privacy":
+            section, key, epsilons = "experiment", "sweep_values", cfg.sweep_values
+        else:
+            section, key, epsilons = "dp", "epsilon", [cfg.dp_epsilon]
+        for eps in epsilons:
+            sigma = gaussian_sigma(cfg.dp_clip_norm, eps, cfg.dp_delta)
+            reached = gaussian_delta(sigma, eps, cfg.dp_clip_norm)
+            check(reached <= cfg.dp_delta, section, key,
+                  f"at epsilon {eps:g} the classical Gaussian sigma reaches delta "
+                  f"{reached:.2e} on the exact curve, above [dp] delta = {cfg.dp_delta:g}")
 
     check(cfg.extractor_kind in features.KINDS, "extractor", "kind",
           f"must be one of {features.KINDS}, got {cfg.extractor_kind!r}")

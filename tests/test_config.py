@@ -167,3 +167,57 @@ def test_render_csv_kind_roundtrip():
     assert "\nsamples =" not in canonical
     assert parse_config_text(canonical) == cfg
     assert render_config(parse_config_text(canonical)) == canonical
+
+
+# --- DP calibration against the exact Gaussian curve -------------------------
+
+DP_SINGLE = "[experiment]\nstrategies = {strategies}\n\n[dp]\nepsilon = {eps}\ndelta = {delta}\n"
+DP_PRIVACY_SWEEP = (
+    "[experiment]\nstrategies = {strategies}\nsweep = privacy\nsweep_values = {values}\n\n"
+    "[dp]\ndelta = {delta}\n"
+)
+
+
+def test_dp_epsilon_whose_classical_sigma_misses_delta_is_rejected():
+    text = DP_SINGLE.format(strategies="fedavg, dp-fl", eps=16, delta=1e-5)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    message = str(err.value)
+    assert message.startswith("[dp] epsilon (line 5): at epsilon 16 ")
+    assert "reaches delta 3.36e-04" in message
+    assert "delta = 1e-05" in message
+
+
+def test_privacy_sweep_value_whose_classical_sigma_misses_delta_is_rejected():
+    text = DP_PRIVACY_SWEEP.format(strategies="dp-fl", values="0.5, 1, 8", delta=1e-3)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    message = str(err.value)
+    assert message.startswith("[experiment] sweep_values (line 4): at epsilon 8 ")
+    assert "reaches delta 1.31e-03" in message
+    # the same values pass at the shipped delta
+    parse_config_text(DP_PRIVACY_SWEEP.format(strategies="dp-fl", values="0.5, 1, 8", delta=1e-5))
+
+
+def test_dp_calibration_checked_only_when_dp_fl_runs():
+    parse_config_text(DP_SINGLE.format(strategies="fedavg, he-fl", eps=16, delta=1e-5))
+    parse_config_text(
+        DP_PRIVACY_SWEEP.format(strategies="fedavg, smc-fl", values="8, 16", delta=1e-3)
+    )
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0, 8.0])
+def test_shipped_dp_budgets_accepted(eps):
+    cfg = parse_config_text(DP_SINGLE.format(strategies="dp-fl", eps=eps, delta=1e-5))
+    assert cfg.dp_epsilon == eps
+    cfg = parse_config_text(
+        DP_PRIVACY_SWEEP.format(strategies="dp-fl", values=eps, delta=1e-5)
+    )
+    assert cfg.sweep_values == [eps]
+
+
+def test_shipped_configs_pass_the_dp_calibration_check():
+    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
+    assert paths
+    for path in paths:
+        assert "dp-fl" in parse_config(path).strategies, path.name

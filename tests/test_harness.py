@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,43 @@ def test_sweep_csv_same_with_memo_bypassed(tmp_path, monkeypatch):
     assert memo == _rows_without_wall_clock(tmp_path / "bypass.csv")
 
 
+def _sweep_recording_crypto(cfg, path, monkeypatch):
+    """Run the sweep with cold keygen and r^n memos; return its keypairs and
+    the ciphertexts of every upload."""
+    keygen, encrypt_params = paillier.keygen, paillier.encrypt_params
+    keygen.cache_clear()
+    paillier._r_to_the_n.cache_clear()
+    keys, uploads = [], []
+
+    def recorded_keygen(*args, **kwargs):
+        keys.append(keygen(*args, **kwargs))
+        return keys[-1]
+
+    def recorded_encrypt_params(*args, **kwargs):
+        cv = encrypt_params(*args, **kwargs)
+        uploads.append(list(cv.elements))
+        return cv
+
+    with monkeypatch.context() as patch:
+        patch.setattr(paillier, "keygen", recorded_keygen)
+        patch.setattr(paillier, "encrypt_params", recorded_encrypt_params)
+        run_sweep(cfg, path)
+    return keys, uploads
+
+
+def test_sweep_same_keys_ciphertexts_and_csv_with_builtin_pow(tmp_path, monkeypatch):
+    cfg = parse_config_text(HE_PAIR_SWEEP.format(out=tmp_path / "m.csv"))
+    keys, uploads = _sweep_recording_crypto(cfg, tmp_path / "backend.csv", monkeypatch)
+    monkeypatch.setattr(paillier, "_powmod", pow)
+    pow_keys, pow_uploads = _sweep_recording_crypto(cfg, tmp_path / "pow.csv", monkeypatch)
+    assert len(keys) == 4 and len(uploads) == 4 * 3 * 3  # cells x rounds x nodes
+    assert keys == pow_keys
+    assert uploads == pow_uploads
+    rows = _rows_without_wall_clock(tmp_path / "backend.csv")
+    assert len(rows) == 1 + 4
+    assert rows == _rows_without_wall_clock(tmp_path / "pow.csv")
+
+
 # --- cli ---------------------------------------------------------------------
 
 
@@ -254,6 +295,29 @@ def test_cli_sweep_reports_progress_on_stderr(tmp_path, capsys):
     # r's, of which the first he-fl cell draws 5 and the first ours cell 9
     assert lines[-1] == "r^n memo: 171 hits, 81 misses"
     # the CSV is the one run_sweep writes without the callback
+    run_sweep(parse_config_text(conf.read_text()), tmp_path / "lib.csv")
+    assert _rows_without_wall_clock(tmp_path / "cli.csv") == _rows_without_wall_clock(
+        tmp_path / "lib.csv"
+    )
+
+
+def test_cli_sweep_names_the_modexp_backend_last_on_stderr(tmp_path):
+    conf = tmp_path / "exp.ini"
+    conf.write_text(HE_PAIR_SWEEP.format(out=tmp_path / "cli.csv"))
+    src = Path(paillier.__file__).resolve().parent.parent
+    paths = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-m", "crossfed.cli", "sweep", "-c", str(conf)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"wrote 4 rows to {tmp_path / 'cli.csv'}\n"
+    lines = done.stderr.splitlines()
+    assert len(lines) == 4 + 2
+    assert lines[-2].startswith("r^n memo: ")
+    assert lines[-1] == f"modexp: {paillier.MODEXP_BACKEND}"
+    # the CSV is the one run_sweep writes in this process
     run_sweep(parse_config_text(conf.read_text()), tmp_path / "lib.csv")
     assert _rows_without_wall_clock(tmp_path / "cli.csv") == _rows_without_wall_clock(
         tmp_path / "lib.csv"

@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -589,3 +592,116 @@ def test_packed_decrypt_validation():
         decrypt_params(sk, pk, codec, cv, 1, ModelArch(1), bound=-1)
     with pytest.raises(CryptoRangeError):
         decrypt_params(sk, pk, codec, CipherVector([1, pk.n_squared], 256), 1, ModelArch(1), 4)
+
+
+# --- modular exponentiation backend -----------------------------------------
+
+
+def _operand(max_bits):
+    return st.integers(1, max_bits).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+@settings(deadline=None)
+@given(
+    base=st.one_of(st.just(0), _operand(2048), _operand(2048).map(lambda v: -v)),
+    exp=st.one_of(st.just(0), _operand(2048)),
+    mod=_operand(2048),
+)
+def test_powmod_matches_builtin_pow(base, exp, mod):
+    assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+_ODD_2048 = (1 << 2047) + 12345
+_EVEN_2048 = (1 << 2047) * 3 // 2
+
+
+@pytest.mark.parametrize(
+    "base, exp, mod",
+    [
+        (5, 3, 1),  # modulus 1
+        (0, 0, 1),
+        (3, 5, 2),  # modulus 2
+        (4, 5, 2),
+        (0, 0, 2),
+        (7, 12345, 1000),  # even moduli
+        (3, (1 << 64) + 1, 1 << 64),
+        (_ODD_2048, 65537, _EVEN_2048),
+        (5, 0, 7),  # exponent 0
+        (_ODD_2048, 0, _EVEN_2048),
+        (0, 5, 7),  # base 0
+        (0, _ODD_2048, _ODD_2048),
+        (100, 3, 7),  # base >= modulus
+        (7, 3, 7),
+        (_EVEN_2048 + (1 << 2100), 65537, _ODD_2048),
+        (-3, 5, 7),  # negative bases
+        (-(1 << 1500), 3, _ODD_2048),
+        (-_ODD_2048, 2, _ODD_2048 - 2),
+        (_ODD_2048 - 1, 1 << 55, _ODD_2048),  # Horner's 2^k shifts
+        (3, 1 << 1000, _EVEN_2048),
+        (2, 3, -7),  # outside BN_mod_exp's domain, pow's semantics hold
+        (3, -1, 7),
+    ],
+)
+def test_powmod_edge_cases(base, exp, mod):
+    assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+def test_powmod_rejects_modulus_zero_like_pow():
+    with pytest.raises(ValueError):
+        pow(3, 5, 0)
+    with pytest.raises(ValueError):
+        paillier._powmod(3, 5, 0)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_powmod_on_key_moduli(bits):
+    pk, sk = keygen(bits, seed=77)
+    rng = random.Random(bits)
+    cases = [
+        (sk.p, [sk.p - 1, sk.q_mod_p1]),
+        (sk.p_squared, [sk.p, sk.p - 1]),
+        (sk.q_squared, [sk.q, sk.q - 1]),
+        (pk.n_squared, [pk.n, 1 << 54, 400, 1]),
+    ]
+    for mod, exps in cases:
+        for exp in exps:
+            bases = (rng.randrange(mod), rng.randrange(pk.n_squared), mod - 1, -rng.randrange(mod))
+            for base in bases:
+                assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+def test_powmod_threads_get_their_own_scratch():
+    # the libcrypto call releases the GIL, so four threads run it at once
+    pk, sk = keygen(1024, seed=78)
+    rng = random.Random(4)
+    moduli, exps = [pk.n_squared, sk.p_squared, sk.q_squared], [pk.n, sk.p, sk.q]
+    jobs = [
+        [(rng.randrange(pk.n_squared), rng.choice(exps), rng.choice(moduli)) for _ in range(40)]
+        for _ in range(4)
+    ]
+    expected = [[pow(*job) for job in thread_jobs] for thread_jobs in jobs]
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [paillier._powmod(*job) for job in jobs[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+def test_modexp_backend_named():
+    backend = paillier.MODEXP_BACKEND
+    if backend == "builtin pow":
+        assert paillier._powmod is pow
+    else:
+        assert re.fullmatch(r"libcrypto\.so\.[\d.]+ \(OpenSSL \S+\)", backend), backend
