@@ -60,11 +60,7 @@ def _cmd_sweep(args) -> int:
         f"{memo.misses - memo_before.misses} misses",
         file=sys.stderr,
     )
-    # the backend is a property of the process, not of the sweep: this line
-    # goes to the process's own stderr, so a caller that captures
-    # sys.stderr (as the tests of the progress lines do) sees only the
-    # per-sweep lines
-    print(f"modexp: {paillier.MODEXP_BACKEND}", file=sys.__stderr__, flush=True)
+    print(f"modexp: {paillier.MODEXP_BACKEND}", file=sys.stderr)
     failures = [r for r in rows if r.status != "ok"]
     print(f"wrote {len(rows)} rows to {output}")
     for row in failures:

@@ -127,10 +127,13 @@ _SCHEMA = {
 _SECTION_ORDER = ("experiment", "data", "federation", "train", "dp", "extractor")
 
 
-def _find_line(text: str, key: str) -> str:
+def _find_line(text: str, section: str, key: str) -> str:
     pattern = re.compile(rf"^\s*{re.escape(key)}\s*[=:]")
+    current = None
     for number, line in enumerate(text.splitlines(), start=1):
-        if pattern.match(line):
+        if header := re.match(r"^\s*\[(.+)\]", line):
+            current = header.group(1).strip()
+        elif current == section and pattern.match(line):
             return f" (line {number})"
     return ""
 
@@ -151,7 +154,7 @@ def _get_attr(cfg: ExperimentConfig, path: str):
 
 
 def _fail(section: str, key: str, text: str, message: str):
-    raise ConfigError(f"[{section}] {key}{_find_line(text, key)}: {message}")
+    raise ConfigError(f"[{section}] {key}{_find_line(text, section, key)}: {message}")
 
 
 def _validate(cfg: ExperimentConfig, text: str, present: set[tuple[str, str]]) -> None:
@@ -259,7 +262,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         for key, raw in parser.items(section):
             if (section, key) not in _SCHEMA:
                 raise ConfigError(
-                    f"unknown key {key!r} in [{section}]{_find_line(text, key)}"
+                    f"unknown key {key!r} in [{section}]{_find_line(text, section, key)}"
                 )
             attr, cast = _SCHEMA[(section, key)]
             try:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .models import LabeledDataset
-from .rngutil import seed_sequence
+from .rngutil import derive_rng
 
 KINDS = ("rff", "identity")
 
@@ -41,7 +41,7 @@ class FeatureExtractor:
         if self.gamma <= 0.0:
             raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
         if self.kind == "rff":
-            rng = np.random.default_rng(seed_sequence(self.seed))
+            rng = derive_rng(self.seed)
             omega = rng.normal(
                 0.0, np.sqrt(self.gamma), size=(self.output_dim, self.input_dim)
             )

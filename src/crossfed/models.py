@@ -12,20 +12,16 @@ and for ``h = 0``: ``[w (d) | b (1)]``.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .rngutil import seed_sequence
+from .rngutil import derive_rng
 
 # Predicted probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP]
 # before any log so the cross-entropy stays finite.
 PROB_CLAMP = 1e-12
-# entries of the epoch-order memo: 0.9 MiB when full at the shipped sweeps'
-# one epoch over 400-sample shards
-_EPOCH_ORDERS_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -248,21 +244,6 @@ def gradient(params: ModelParams, batch: LabeledDataset) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=_EPOCH_ORDERS_MEMO_SIZE)
-def _epoch_orders(seed: int, count: int, epochs: int) -> tuple[np.ndarray, ...]:
-    """The sample order of each epoch of ``local_train``, read-only.
-
-    Memoised: the cells of a sweep that share a seed train every node on
-    the same shuffles, whatever their strategy or sweep value. An entry
-    holds epochs * count int64 indices.
-    """
-    rng = np.random.default_rng(seed_sequence(seed))
-    orders = tuple(rng.permutation(count) for _ in range(epochs))
-    for order in orders:
-        order.flags.writeable = False
-    return orders
-
-
 def local_train(
     params: ModelParams, data: LabeledDataset, cfg: TrainConfig
 ) -> tuple[ModelParams, float]:
@@ -281,7 +262,9 @@ def local_train(
     values = params.values.copy()
     grad = np.empty_like(values)
     x, y = data.features, data.labels.astype(np.float64)
-    for epoch, order in enumerate(_epoch_orders(cfg.rng_seed, data.count, cfg.local_epochs)):
+    rng = derive_rng(cfg.rng_seed)
+    for epoch in range(cfg.local_epochs):
+        order = rng.permutation(data.count)
         xs, ys = x[order], y[order]  # one gather per epoch; batches are slices
         for start in range(0, data.count, size):
             _gradient_values(arch, values, xs[start : start + size], ys[start : start + size], grad)
@@ -295,7 +278,7 @@ def local_train(
 
 def init_params(arch: ModelArch, seed: int) -> ModelParams:
     """Seeded uniform init in [-0.5, 0.5] scaled by 1/sqrt(fan_in)."""
-    rng = np.random.default_rng(seed_sequence(seed))
+    rng = derive_rng(seed)
     d, h = arch.input_dim, arch.hidden_units
     if h == 0:
         values = rng.uniform(-0.5, 0.5, d + 1) / np.sqrt(d)

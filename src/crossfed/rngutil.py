@@ -3,17 +3,17 @@
 Every source of randomness in a simulation is derived from one master seed
 plus a tuple of integer tags (namespace, node id, round index, ...), so two
 runs with the same config are bit-identical and parallel nodes never share
-a stream.
+a stream. Derivation keeps no state, so a cell's streams and cost do not
+depend on which cells ran before it in the process. ``numpy.random`` is
+imported eagerly, with the package.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
+# numpy loads it lazily; the one-time import belongs to setup, not to the first cell
+import numpy.random
 
 _MASK64 = (1 << 64) - 1
-# entries of the derive_int memo: ~600 bytes each, 2.4 MiB when full
-_DERIVE_INT_MEMO_SIZE = 1 << 12
 
 
 def seed_sequence(*parts: int) -> np.random.SeedSequence:
@@ -21,12 +21,10 @@ def seed_sequence(*parts: int) -> np.random.SeedSequence:
 
 
 def derive_rng(*parts: int) -> np.random.Generator:
-    """Independent generator for the given tag tuple."""
+    """Independent generator for the given tag tuple; the only seed-to-generator path."""
     return np.random.default_rng(seed_sequence(*parts))
 
 
-@functools.lru_cache(maxsize=_DERIVE_INT_MEMO_SIZE)
 def derive_int(*parts: int) -> int:
-    """Stable 64-bit integer for the given tag tuple; memoised, since the
-    cells of a sweep that share a seed derive the same node and round seeds."""
+    """Stable 64-bit integer for the given tag tuple."""
     return int(seed_sequence(*parts).generate_state(1, np.uint64)[0])

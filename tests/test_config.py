@@ -88,6 +88,14 @@ def test_error_carries_line_number():
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("key, first, bad", [("kind", "blobs", "bogus"), ("seed", "4", "x")])
+def test_error_line_is_searched_inside_the_named_section(key, first, bad):
+    text = (f"[experiment]\nseeds = 1\n\n[data]\n{key} = {first}\ndim = 2\n\n"
+            f"[extractor]\n{key} = {bad}\n")
+    with pytest.raises(ConfigError, match=rf"^\[extractor\] {key} \(line 9\): "):
+        parse_config_text(text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="turbo"):
         parse_config_text("[train]\nturbo = yes\n")

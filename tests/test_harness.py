@@ -286,14 +286,15 @@ def test_cli_sweep_reports_progress_on_stderr(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == f"wrote 4 rows to {tmp_path / 'cli.csv'}\n"
     lines = err.splitlines()
-    assert len(lines) == 4 + 1
+    assert len(lines) == 4 + 2
     cells = [("he-fl", 0.01), ("he-fl", 0.05), ("ours", 0.01), ("ours", 0.05)]
     for i, (line, (strategy, value)) in enumerate(zip(lines, cells), start=1):
         assert line.startswith(f"cell {i}/4 {strategy} value={value} seed=1 ok elapsed=")
         assert " eta=" in line
     # r depends on (seed, node, round) only: 3 nodes x 3 rounds x 9 distinct
     # r's, of which the first he-fl cell draws 5 and the first ours cell 9
-    assert lines[-1] == "r^n memo: 171 hits, 81 misses"
+    assert lines[-2] == "r^n memo: 171 hits, 81 misses"
+    assert lines[-1] == f"modexp: {paillier.MODEXP_BACKEND}"
     # the CSV is the one run_sweep writes without the callback
     run_sweep(parse_config_text(conf.read_text()), tmp_path / "lib.csv")
     assert _rows_without_wall_clock(tmp_path / "cli.csv") == _rows_without_wall_clock(
@@ -322,6 +323,18 @@ def test_cli_sweep_names_the_modexp_backend_last_on_stderr(tmp_path):
     assert _rows_without_wall_clock(tmp_path / "cli.csv") == _rows_without_wall_clock(
         tmp_path / "lib.csv"
     )
+
+
+def test_import_crossfed_loads_numpy_random():
+    # numpy loads numpy.random lazily; crossfed imports it up front, so the
+    # first cell of a sweep does not pay for the import
+    src = Path(paillier.__file__).resolve().parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import crossfed; "
+            "print('numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-E", "-s", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
 
 
 def test_cli_sweep_fails_on_bad_cells(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfed import models, rngutil
+from crossfed import models
 from crossfed.datasets import SyntheticSpec, generate
 from crossfed.errors import InvalidInputError, NumericError
 from crossfed.models import (
@@ -23,7 +23,7 @@ from crossfed.models import (
     predict,
     predict_proba,
 )
-from crossfed.rngutil import derive_int, seed_sequence
+from crossfed.rngutil import seed_sequence
 
 
 def make_params(arch, values):
@@ -343,31 +343,6 @@ def test_gradient_bitwise_equals_allocating_gradient():
                 params.arch, params.values, data.features, data.labels.astype(np.float64)
             )
             assert gradient(params, data).tobytes() == expected.tobytes()
-
-
-# --- seed memos --------------------------------------------------------------
-
-
-@settings(deadline=None)
-@given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4))
-def test_derive_int_memo_equals_unmemoised(parts):
-    assert derive_int(*parts) == derive_int.__wrapped__(*parts)
-    assert derive_int(*parts) == derive_int.__wrapped__(*parts)  # now a hit
-    assert derive_int.cache_info().maxsize == rngutil._DERIVE_INT_MEMO_SIZE
-
-
-@settings(deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(1, 50), st.integers(0, 4))
-def test_epoch_orders_are_fresh_permutations_and_read_only(seed, count, epochs):
-    orders = models._epoch_orders(seed, count, epochs)
-    assert models._epoch_orders(seed, count, epochs) is orders  # memoised
-    rng = np.random.default_rng(seed_sequence(seed))
-    assert len(orders) == epochs
-    for order in orders:
-        assert np.array_equal(order, rng.permutation(count))
-        with pytest.raises(ValueError):
-            order[0] = 0
-    assert models._epoch_orders.cache_info().maxsize == models._EPOCH_ORDERS_MEMO_SIZE
 
 
 # --- deltas ----------------------------------------------------------------
