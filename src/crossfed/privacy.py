@@ -16,6 +16,7 @@ residues are reduced mod p often enough that they never wrap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,7 +85,9 @@ def gaussian_sigma(clip_norm: float, epsilon: float, delta: float) -> float:
 def gaussian_delta(sigma: float, epsilon: float, sensitivity: float) -> float:
     """Exact delta(epsilon) of the Gaussian mechanism with noise sigma and
     L2 sensitivity D (Balle and Wang 2018, Thm 8):
-    Phi(D/2s - eps*s/D) - e^eps * Phi(-D/2s - eps*s/D)."""
+    Phi(D/2s - eps*s/D) - e^eps * Phi(-D/2s - eps*s/D). A delta below the
+    smallest normal float64 (2.2e-308) is returned as 0.0, and one within
+    1e-9 of 1 as 1.0 (no privacy)."""
     if not 0.0 < sigma < math.inf:
         raise InvalidInputError(f"sigma must be positive and finite, got {sigma}")
     if not 0.0 <= epsilon < math.inf:
@@ -92,14 +95,51 @@ def gaussian_delta(sigma: float, epsilon: float, sensitivity: float) -> float:
     if not 0.0 < sensitivity < math.inf:
         raise InvalidInputError(f"sensitivity must be positive and finite, got {sensitivity}")
 
-    def phi(x: float) -> float:
-        return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
+    # With a = D/2s, b = eps*s/D and pdf the standard normal density,
+    # 2ab = eps gives e^eps * pdf(a + b) = pdf(b - a), so the curve is
+    # Q(b - a) - pdf(b - a) * R(a + b) with Q the upper tail and R = Q / pdf
+    # the Mills ratio. Neither form below subtracts two nearly equal terms:
+    # delta = pdf(b - a) * (R(b - a) - R(a + b)), taken in log space, and
+    # where delta > 2/3 (a - b >= 1), 1 - (Q(a - b) + pdf(a - b) * R(a + b)),
+    # whose two small terms are summed before the one rounding next to 1.
     a, b = sensitivity / (2.0 * sigma), epsilon * sigma / sensitivity
-    tail = phi(-a - b)
-    # e^eps * tail in log space, as e^eps alone overflows past eps = 709
-    scaled_tail = math.exp(epsilon + math.log(tail)) if tail > 0.0 else 0.0
-    return max(0.0, phi(a - b) - scaled_tail)  # rounding can dip below 0 at tiny delta
+    x = b - a
+    if x > -1.0:
+        gap = _mills_ratio(x) - _mills_ratio(a + b)
+        if gap <= 0.0:  # a vanishingly small next to b
+            return 0.0
+        delta = math.exp(math.log(gap) - 0.5 * x * x - _LOG_SQRT_2PI)
+        # subnormals keep too few digits to order nearby deltas
+        return delta if delta >= sys.float_info.min else 0.0
+    tails = 0.5 * math.erfc(-x / math.sqrt(2.0)) + _normal_pdf(x) * _mills_ratio(a + b)
+    return 1.0 - tails if tails >= _DELTA_SATURATES_BELOW_ONE else 1.0
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# below this argument erfc(x / sqrt 2) * e^(x^2 / 2) is accurate to ~1e-15;
+# from it Laplace's continued fraction converges to ~1e-17 in 60 terms
+_MILLS_SERIES_FROM = 3.0
+_MILLS_TERMS = 60
+# float64 spacing next to 1 is 1.1e-16, so where 1 - delta is smaller than
+# this, deltas that differ exactly can round to one value. Above it, for
+# D/2s <= 100, a 0.1% step in sigma or a step of 1e-3 in eps moves delta
+# by more than 3e-15.
+_DELTA_SATURATES_BELOW_ONE = 1e-9
+
+
+def _normal_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+
+
+def _mills_ratio(x: float) -> float:
+    """R(x) = Q(x) / pdf(x) of the standard normal, for x > -1."""
+    if x < _MILLS_SERIES_FROM:
+        return 0.5 * math.erfc(x / math.sqrt(2.0)) / _normal_pdf(x)
+    # 1 / (x + 1 / (x + 2 / (x + 3 / (x + ...)))), evaluated from the tail
+    f = x
+    for k in range(_MILLS_TERMS, 0, -1):
+        f = x + k / f
+    return 1.0 / f
 
 
 def dp_privatize(delta, cfg: DpConfig, rng: np.random.Generator) -> np.ndarray:

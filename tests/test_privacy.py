@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +112,48 @@ def test_gaussian_delta_pinned_values(eps, exact):
         _exact_gaussian_delta(sigma, eps, 1.0), rel=1e-12
     )
     assert gaussian_delta(3.0 * sigma, eps, 3.0) == pytest.approx(gaussian_delta(sigma, eps, 1.0))
+
+
+@pytest.mark.parametrize(
+    "sigma, eps, sensitivity, exact",
+    [
+        # 60-digit values of the curve. Phi(a - b) - e^eps * Phi(-a - b) in
+        # float64 gives the first two 1 ulp off; the next two, 1e-10 off; the
+        # last two, 0.0 and 100x too big
+        (0.25, 1.71, 2.72, 0.99999987616604940278),
+        (0.5, 2.93, 5.34, 0.9999996117450203352),
+        (13.27, 1.38, 0.53, 1.5258358065515391e-264),
+        (11.24, 0.96, 0.31, 1.1870979804786165e-268),
+        (21.34, 14.57, 8.13, 3.7262461274270324e-319),
+        (25.97, 13.2, 8.94, 3.5472377335379568e-321),
+    ],
+)
+def test_gaussian_delta_keeps_precision_at_both_edges(sigma, eps, sensitivity, exact):
+    delta = gaussian_delta(sigma, eps, sensitivity)
+    if exact > 0.5:
+        assert delta == exact  # the nearest float64
+    elif exact < sys.float_info.min:  # subnormal: flushed to zero
+        assert delta == 0.0
+    else:
+        assert delta == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "sigma, eps, sensitivity, one_minus_exact",
+    [
+        # 1 - delta is 1.2e-15 and 1.4e-15, 1.6 ulps apart: float64 cannot
+        # keep every nearby pair of deltas apart this close to 1
+        (0.05078125, 0.0, 0.8125, 1.24e-15),
+        (0.05078125, 0.25, 0.8125, 1.41e-15),
+        (0.5, 0.0, 6.0, 1.97e-9),  # 2x the saturation bound: kept
+    ],
+)
+def test_gaussian_delta_saturates_within_1e9_of_one(sigma, eps, sensitivity, one_minus_exact):
+    delta = gaussian_delta(sigma, eps, sensitivity)
+    if one_minus_exact < 1e-9:
+        assert delta == 1.0
+    else:
+        assert 1.0 - delta == pytest.approx(one_minus_exact, rel=1e-2)
 
 
 _SIGMA = st.floats(0.05, 50.0)
