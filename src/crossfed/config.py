@@ -128,7 +128,8 @@ _SECTION_ORDER = ("experiment", "data", "federation", "train", "dp", "extractor"
 
 
 def _find_line(text: str, section: str, key: str) -> str:
-    pattern = re.compile(rf"^\s*{re.escape(key)}\s*[=:]")
+    # configparser lower-cases keys, so the text may spell one in any case
+    pattern = re.compile(rf"^\s*{re.escape(key)}\s*[=:]", re.IGNORECASE)
     current = None
     for number, line in enumerate(text.splitlines(), start=1):
         if header := re.match(r"^\s*\[(.+)\]", line):

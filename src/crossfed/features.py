@@ -15,7 +15,7 @@ from .errors import InvalidInputError
 from .models import LabeledDataset
 from .rngutil import derive_rng
 
-KINDS = ("rff", "identity")
+KINDS = ("rff",)
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,15 @@ class FeatureExtractor:
             raise InvalidInputError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidInputError("input_dim and output_dim must be >= 1")
-        if self.kind == "identity" and self.output_dim != self.input_dim:
-            raise InvalidInputError("identity extractor requires output_dim == input_dim")
         if self.gamma <= 0.0:
             raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
-        if self.kind == "rff":
-            rng = derive_rng(self.seed)
-            omega = rng.normal(
-                0.0, np.sqrt(self.gamma), size=(self.output_dim, self.input_dim)
-            )
-            phase = rng.uniform(0.0, 2.0 * np.pi, size=self.output_dim)
-            object.__setattr__(self, "_omega", omega)
-            object.__setattr__(self, "_phase", phase)
+        rng = derive_rng(self.seed)
+        omega = rng.normal(
+            0.0, np.sqrt(self.gamma), size=(self.output_dim, self.input_dim)
+        )
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=self.output_dim)
+        object.__setattr__(self, "_omega", omega)
+        object.__setattr__(self, "_phase", phase)
 
 
 def transform(fx: FeatureExtractor, x: np.ndarray) -> np.ndarray:
@@ -55,8 +52,6 @@ def transform(fx: FeatureExtractor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != fx.input_dim:
         raise InvalidInputError(f"expected shape (n, {fx.input_dim}), got {x.shape}")
-    if fx.kind == "identity":
-        return x.copy()
     return np.sqrt(2.0 / fx.output_dim) * np.cos(x @ fx._omega.T + fx._phase)
 
 

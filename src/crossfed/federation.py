@@ -1,9 +1,9 @@
 """Federated round state machine: broadcast, local training, a per-strategy
 privacy transform, weighted aggregation, and cross-cloud migration.
 
-Five presets = four protections x an optional feature front-end, all
-wrapping the same round skeleton. ``PRESETS`` is the only place a strategy
-name is interpreted.
+Five presets = four protections x an optional feature front-end. Here
+only the protection wraps the round skeleton; ``harness.run_cell`` applies
+the front-end. ``PRESETS`` is the only place a strategy name is interpreted.
 
 Every stream of randomness is derived from the config seed plus
 (namespace, node, round) tags, so runs are reproducible bit for bit.
@@ -29,7 +29,6 @@ import numpy as np
 
 from . import paillier
 from .errors import CryptoRangeError, InvalidInputError, NumericError, RoundError
-from .features import FeatureExtractor, augment_dataset
 from .models import (
     LabeledDataset,
     ModelArch,
@@ -43,13 +42,13 @@ from .models import (
 from .privacy import SMC_FIELD_PRIME, SMC_SCALE, DpConfig, dp_privatize, reconstruct_sum, share
 from .rngutil import derive_int, derive_rng
 
-# strategy name -> (protection, trains on extractor-augmented features)
+# strategy name -> (protection, trains behind the feature front-end)
 PRESETS = {
     "fedavg": ("plain", False),  # plaintext sample-count-weighted averaging
     "dp-fl": ("dp", False),  # per-node deltas clipped and Gaussian-noised
     "smc-fl": ("smc", False),  # count-weighted parameters additively secret-shared
     "he-fl": ("he", False),  # Paillier-encrypted parameters, summed encrypted
-    "ours": ("he", True),  # he-fl over extractor-augmented features
+    "ours": ("he", True),  # he-fl; harness.run_cell augments its data first
 }
 STRATEGIES = tuple(PRESETS)
 
@@ -99,7 +98,6 @@ class FederationConfig:
     seed: int = 0
     dp: DpConfig | None = None
     he_bits: int | None = None
-    extractor: FeatureExtractor | None = None
 
     def __post_init__(self):
         if self.strategy not in PRESETS:
@@ -110,13 +108,11 @@ class FederationConfig:
             raise InvalidInputError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.max_rounds < 0:
             raise InvalidInputError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        protection, front_end = PRESETS[self.strategy]
+        protection = PRESETS[self.strategy][0]
         if (protection == "dp") != (self.dp is not None):
             raise InvalidInputError("dp config is required iff strategy is dp-fl")
         if (protection == "he") != (self.he_bits is not None):
             raise InvalidInputError("he_bits is required iff strategy is he-fl or ours")
-        if front_end != (self.extractor is not None):
-            raise InvalidInputError("extractor is required iff strategy is ours")
 
 
 @dataclass
@@ -181,10 +177,7 @@ def init_federation(
         )
     if any(s.count == 0 for s in shards):
         raise InvalidInputError("every shard must be nonempty")
-    protection, front_end = PRESETS[cfg.strategy]
-    if front_end:
-        shards = [augment_dataset(cfg.extractor, s) for s in shards]
-        test_data = augment_dataset(cfg.extractor, test_data)
+    protection = PRESETS[cfg.strategy][0]
     input_dim = shards[0].dim
     if any(s.dim != input_dim for s in shards) or test_data.dim != input_dim:
         raise InvalidInputError("shards and test data disagree on feature dim")
@@ -364,13 +357,12 @@ def migrate_and_finetune(
     params: ModelParams,
     target: NodeState,
     ft: TrainConfig,
-    extractor: FeatureExtractor | None = None,
 ) -> tuple[ModelParams, np.ndarray]:
     """Adapt a migrated model to the target node's data.
 
     Returns the fine-tuned parameters and the delta such that applying it
-    to the input reproduces the result.
+    to the input reproduces the result. A model trained behind the feature
+    front-end needs the node's data augmented by the caller.
     """
-    data = target.data if extractor is None else augment_dataset(extractor, target.data)
-    tuned, _ = local_train(params, data, ft)
+    tuned, _ = local_train(params, target.data, ft)
     return tuned, param_delta(params, tuned)

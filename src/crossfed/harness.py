@@ -3,7 +3,9 @@ cells, runs each, and writes one deterministic metrics CSV.
 
 Only the two wall-clock columns vary between reruns of the same config;
 everything else is derived from seeds. Cells that fail are recorded in
-their row's status column and the sweep keeps going.
+their row's status column and the sweep keeps going. ``run_cell`` alone
+applies the feature front-end: it augments a cell's train and test sets
+once, before partitioning, for training and metrics alike.
 """
 from __future__ import annotations
 
@@ -95,7 +97,6 @@ def build_federation_config(
     strategy: str,
     sweep_value: float | None,
     seed: int,
-    input_dim: int,
 ) -> FederationConfig:
     """Apply the sweep parameter and strategy extras to one cell's config."""
     hidden_units = cfg.hidden_units
@@ -109,7 +110,7 @@ def build_federation_config(
         elif cfg.sweep == "privacy":
             epsilon = float(sweep_value)
     # an unknown name gets no extras; FederationConfig then rejects it
-    protection, front_end = PRESETS.get(strategy, (None, False))
+    protection = PRESETS.get(strategy, (None,))[0]
     dp = None
     if protection == "dp":
         dp = DpConfig(
@@ -117,15 +118,6 @@ def build_federation_config(
             clip_norm=cfg.dp_clip_norm,
             delta=cfg.dp_delta,
             rounds=max(cfg.max_rounds, 1),
-        )
-    extractor = None
-    if front_end:
-        extractor = FeatureExtractor(
-            seed=cfg.extractor_seed,
-            input_dim=input_dim,
-            output_dim=cfg.extractor_output_dim,
-            kind=cfg.extractor_kind,
-            gamma=cfg.extractor_gamma,
         )
     return FederationConfig(
         num_nodes=cfg.nodes,
@@ -142,7 +134,6 @@ def build_federation_config(
         seed=seed,
         dp=dp,
         he_bits=cfg.he_bits if protection == "he" else None,
-        extractor=extractor,
     )
 
 
@@ -153,19 +144,26 @@ def run_cell(
     name = _SWEEP_PARAM_NAMES[cfg.sweep]
     try:
         train_data, test_data = build_datasets(cfg, seed)
+        fed_cfg = build_federation_config(cfg, strategy, sweep_value, seed)
+        if PRESETS[strategy][1]:
+            extractor = FeatureExtractor(
+                seed=cfg.extractor_seed,
+                input_dim=train_data.dim,
+                output_dim=cfg.extractor_output_dim,
+                kind=cfg.extractor_kind,
+                gamma=cfg.extractor_gamma,
+            )
+            # partition reads only labels and row count: it picks the same rows
+            train_data = augment_dataset(extractor, train_data)
+            test_data = augment_dataset(extractor, test_data)
         shards = partition(
             train_data,
             PartitionScheme(cfg.data.partition, cfg.nodes, cfg.data.alpha),
             derive_int(seed, _TAG_PARTITION),
         )
-        fed_cfg = build_federation_config(cfg, strategy, sweep_value, seed, train_data.dim)
         result = run_training(fed_cfg, shards, test_data)
-        members, nonmembers = train_data, test_data
-        if fed_cfg.extractor is not None:
-            members = augment_dataset(fed_cfg.extractor, members)
-            nonmembers = augment_dataset(fed_cfg.extractor, nonmembers)
-        advantage = membership_advantage(result.final_params, members, nonmembers)
-        final_accuracy = accuracy(result.final_params, nonmembers)
+        advantage = membership_advantage(result.final_params, train_data, test_data)
+        final_accuracy = accuracy(result.final_params, test_data)
         row = MetricsRow(
             strategy=strategy,
             sweep_param_name=name,

@@ -96,6 +96,13 @@ def test_error_line_is_searched_inside_the_named_section(key, first, bad):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("spelled", ["Kind", "KIND"])
+def test_error_line_found_for_a_key_in_any_case(spelled):
+    text = f"[data]\n{spelled} = bogus\n"
+    with pytest.raises(ConfigError, match=r"^\[data\] kind \(line 2\): "):
+        parse_config_text(text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="turbo"):
         parse_config_text("[train]\nturbo = yes\n")

@@ -14,11 +14,6 @@ from crossfed.models import (
 )
 
 
-def test_identity_extract():
-    fx = FeatureExtractor(seed=0, input_dim=3, output_dim=3, kind="identity")
-    np.testing.assert_array_equal(extract(fx, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-
 def test_rff_output_range():
     fx = FeatureExtractor(seed=1, input_dim=4, output_dim=16)
     bound = np.sqrt(2.0 / 16)
@@ -48,14 +43,6 @@ def test_identity_requires_matching_dims():
         FeatureExtractor(seed=0, input_dim=3, output_dim=4, kind="identity")
     with pytest.raises(InvalidInputError):
         FeatureExtractor(seed=0, input_dim=3, output_dim=3, kind="mystery")
-
-
-def test_augment_identity_is_noop():
-    data = generate(SyntheticSpec("blobs", dim=3, samples=20, seed=1))
-    fx = FeatureExtractor(seed=0, input_dim=3, output_dim=3, kind="identity")
-    out = augment_dataset(fx, data)
-    np.testing.assert_array_equal(out.features, data.features)
-    np.testing.assert_array_equal(out.labels, data.labels)
 
 
 def test_augment_preserves_count_order_labels():

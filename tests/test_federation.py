@@ -119,8 +119,6 @@ def test_config_requires_strategy_extras():
     with pytest.raises(InvalidInputError):
         FederationConfig(3, 5, "he-fl", tc)  # he_bits missing
     with pytest.raises(InvalidInputError):
-        FederationConfig(3, 5, "ours", tc, he_bits=256)  # extractor missing
-    with pytest.raises(InvalidInputError):
         FederationConfig(3, 5, "mystery", tc)
 
 
@@ -231,15 +229,6 @@ def test_training_zero_rounds_empty_history():
     assert result.rounds_to_target is None
 
 
-def test_ours_strategy_trains_in_feature_space():
-    shards, test = _blob_setting(dim=2, samples=200, k=2)
-    fx = FeatureExtractor(seed=1, input_dim=2, output_dim=12)
-    cfg = FederationConfig(2, 2, "ours", _train_cfg(), target_accuracy=1.0, seed=9,
-                           he_bits=256, extractor=fx)
-    result = run_training(cfg, shards, test)
-    assert result.final_params.arch.input_dim == 12
-
-
 def test_ours_is_he_fl_on_augmented_data():
     # the front-end is the only thing "ours" adds to he-fl
     train = generate(SyntheticSpec("xor", dim=2, samples=300, seed=31))
@@ -247,11 +236,12 @@ def test_ours_is_he_fl_on_augmented_data():
     shards = partition(train, PartitionScheme("dirichlet", 3, 0.5), seed=33)
     fx = FeatureExtractor(seed=4, input_dim=2, output_dim=8, gamma=1.0)
     ours = FederationConfig(3, 4, "ours", _train_cfg(), target_accuracy=1.0, seed=5,
-                            he_bits=256, extractor=fx)
-    he = replace(ours, strategy="he-fl", extractor=None)
+                            he_bits=256)
+    he = replace(ours, strategy="he-fl")
+    shards = [augment_dataset(fx, s) for s in shards]
+    test = augment_dataset(fx, test)
     a = run_training(ours, shards, test).records
-    b = run_training(he, [augment_dataset(fx, s) for s in shards],
-                     augment_dataset(fx, test)).records
+    b = run_training(he, shards, test).records
     assert len(a) == len(b) == 4
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.global_params.values, rb.global_params.values)
@@ -427,8 +417,9 @@ def test_finetune_through_extractor():
     shards, _ = _blob_setting(k=1, dim=5)
     node = NodeState(0, "cloud-b", shards[0], seed=0)
     fx = FeatureExtractor(seed=2, input_dim=5, output_dim=8, gamma=0.1)
+    node.data = augment_dataset(fx, node.data)
     w = ModelParams(ModelArch(8), np.zeros(9))
-    tuned, delta = migrate_and_finetune(w, node, _train_cfg(epochs=2), extractor=fx)
+    tuned, delta = migrate_and_finetune(w, node, _train_cfg(epochs=2))
     assert tuned.arch == w.arch
     assert not np.array_equal(tuned.values, w.values)
     assert np.max(np.abs(apply_delta(w, delta).values - tuned.values)) < 1e-12

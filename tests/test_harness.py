@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from crossfed import harness, paillier
+from crossfed import features, harness, paillier
 from crossfed.cli import main
 from crossfed.config import parse_config_text
 from crossfed.federation import PRESETS, STRATEGIES, run_training
@@ -156,20 +156,29 @@ def test_run_cell_reports_target(tmp_path):
 def test_run_cell_builds_preset_extras(tmp_path, monkeypatch, strategy):
     text = SMALL.format(out=tmp_path / "x.csv")
     cfg = parse_config_text(text.replace("max_rounds = 3", "max_rounds = 2\nhe_bits = 256"))
-    built = []
+    built, augmented = [], []
 
     def spy(fed_cfg, shards, test_data):
-        built.append(fed_cfg)
+        built.append((fed_cfg, shards, test_data))
         return run_training(fed_cfg, shards, test_data)
 
+    def counted(*args, _original=features.transform):
+        augmented.append(1)
+        return _original(*args)
+
     monkeypatch.setattr(harness, "run_training", spy)
+    # every augment_dataset call, from any module, is one transform pass
+    monkeypatch.setattr(features, "transform", counted)
     row, _ = run_cell(cfg, strategy, None, 1)
     assert row.status == "ok"
-    (fed_cfg,) = built
+    ((fed_cfg, shards, test_data),) = built
     protection, front_end = PRESETS[strategy]
     assert (fed_cfg.dp is not None) == (protection == "dp")
     assert fed_cfg.he_bits == (256 if protection == "he" else None)
-    assert (fed_cfg.extractor is not None) == front_end
+    # the front-end runs once per cell, on the train and the test set
+    width = cfg.extractor_output_dim if front_end else cfg.data.dim
+    assert {s.dim for s in shards} == {test_data.dim} == {width}
+    assert len(augmented) == (2 if front_end else 0)
 
 
 # --- reuse of the key holder's randomisers across cells ----------------------
