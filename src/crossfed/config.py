@@ -12,7 +12,7 @@ import configparser
 import re
 from dataclasses import dataclass, field
 
-from . import datasets, features
+from . import datasets
 from .errors import ConfigError
 from .federation import PRESETS, STRATEGIES
 from .paillier import KEY_BITS_CHOICES
@@ -59,7 +59,6 @@ class ExperimentConfig:
     dp_epsilon: float = 1.0
     dp_delta: float = 1e-5
     dp_clip_norm: float = 1.0
-    extractor_kind: str = "rff"
     extractor_output_dim: int = 64
     extractor_gamma: float = 1.0
     extractor_seed: int = 0
@@ -118,7 +117,6 @@ _SCHEMA = {
     ("dp", "epsilon"): ("dp_epsilon", _parse_float),
     ("dp", "delta"): ("dp_delta", _parse_float),
     ("dp", "clip_norm"): ("dp_clip_norm", _parse_float),
-    ("extractor", "kind"): ("extractor_kind", _parse_str),
     ("extractor", "output_dim"): ("extractor_output_dim", _parse_int),
     ("extractor", "gamma"): ("extractor_gamma", _parse_float),
     ("extractor", "seed"): ("extractor_seed", _parse_int),
@@ -243,8 +241,6 @@ def _validate(cfg: ExperimentConfig, text: str, present: set[tuple[str, str]]) -
                   f"at epsilon {eps:g} the classical Gaussian sigma reaches delta "
                   f"{reached:.2e} on the exact curve, above [dp] delta = {cfg.dp_delta:g}")
 
-    check(cfg.extractor_kind in features.KINDS, "extractor", "kind",
-          f"must be one of {features.KINDS}, got {cfg.extractor_kind!r}")
     check(cfg.extractor_output_dim >= 1, "extractor", "output_dim", "must be >= 1")
     check(cfg.extractor_gamma > 0, "extractor", "gamma", "must be positive")
 
@@ -261,6 +257,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if section not in _SECTION_ORDER:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
+            if (section, key) == ("extractor", "kind"):  # rff, the one feature map
+                if raw.strip() != "rff":
+                    _fail(section, key, text, f"must be 'rff', got {raw.strip()!r}")
+                continue
             if (section, key) not in _SCHEMA:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}]{_find_line(text, section, key)}"

@@ -15,9 +15,6 @@ from .errors import InvalidInputError
 from .models import LabeledDataset
 from .rngutil import derive_rng
 
-KINDS = ("rff",)
-
-
 @dataclass(frozen=True)
 class FeatureExtractor:
     """Seeded feature map; equal fields imply bit-identical outputs."""
@@ -25,15 +22,12 @@ class FeatureExtractor:
     seed: int
     input_dim: int
     output_dim: int
-    kind: str = "rff"
     gamma: float = 1.0  # projection variance (kernel bandwidth)
 
     _omega: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _phase: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidInputError("input_dim and output_dim must be >= 1")
         if self.gamma <= 0.0:

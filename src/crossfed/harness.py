@@ -150,7 +150,6 @@ def run_cell(
                 seed=cfg.extractor_seed,
                 input_dim=train_data.dim,
                 output_dim=cfg.extractor_output_dim,
-                kind=cfg.extractor_kind,
                 gamma=cfg.extractor_gamma,
             )
             # partition reads only labels and row count: it picks the same rows

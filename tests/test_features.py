@@ -38,11 +38,10 @@ def test_extract_dimension_mismatch():
         extract(fx, [1.0, 2.0])
 
 
-def test_identity_requires_matching_dims():
-    with pytest.raises(InvalidInputError):
-        FeatureExtractor(seed=0, input_dim=3, output_dim=4, kind="identity")
-    with pytest.raises(InvalidInputError):
-        FeatureExtractor(seed=0, input_dim=3, output_dim=3, kind="mystery")
+def test_extractor_rejects_empty_dims_and_nonpositive_gamma():
+    for input_dim, output_dim, gamma in [(0, 4, 1.0), (3, 0, 1.0), (3, 4, 0.0), (3, 4, -1.0)]:
+        with pytest.raises(InvalidInputError):
+            FeatureExtractor(seed=0, input_dim=input_dim, output_dim=output_dim, gamma=gamma)
 
 
 def test_augment_preserves_count_order_labels():

@@ -1,9 +1,11 @@
 import csv
+import ctypes
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -265,7 +267,12 @@ def _sweep_recording_crypto(cfg, path, monkeypatch):
 def test_sweep_same_keys_ciphertexts_and_csv_with_builtin_pow(tmp_path, monkeypatch):
     cfg = parse_config_text(HE_PAIR_SWEEP.format(out=tmp_path / "m.csv"))
     keys, uploads = _sweep_recording_crypto(cfg, tmp_path / "backend.csv", monkeypatch)
-    monkeypatch.setattr(paillier, "_powmod", pow)
+    with monkeypatch.context() as patch:
+        patch.setattr(paillier, "_LIBCRYPTO_SONAMES", ())
+        _, powmod, crt_halves = paillier._libcrypto_powmod()
+    assert powmod is pow
+    monkeypatch.setattr(paillier, "_powmod", powmod)
+    monkeypatch.setattr(paillier, "_crt_halves", crt_halves)
     pow_keys, pow_uploads = _sweep_recording_crypto(cfg, tmp_path / "pow.csv", monkeypatch)
     assert len(keys) == 4 and len(uploads) == 4 * 3 * 3  # cells x rounds x nodes
     assert keys == pow_keys
@@ -273,6 +280,30 @@ def test_sweep_same_keys_ciphertexts_and_csv_with_builtin_pow(tmp_path, monkeypa
     rows = _rows_without_wall_clock(tmp_path / "backend.csv")
     assert len(rows) == 1 + 4
     assert rows == _rows_without_wall_clock(tmp_path / "pow.csv")
+
+
+@pytest.mark.skipif(paillier.MODEXP_BACKEND == "builtin pow", reason="no libcrypto loaded")
+def test_libcrypto_failure_ends_in_the_cell_status(tmp_path, monkeypatch):
+    text = HE_PAIR.format(out=tmp_path / "m.csv").replace("he-fl, ours", "he-fl, fedavg")
+    cfg = parse_config_text(text)
+    row, _ = run_cell(cfg, "he-fl", None, 1)  # memoises the key, so keygen will not run again
+    assert row.status == "ok"
+    loaded = ctypes.CDLL
+
+    def failing(soname, *args, **kwargs):
+        lib = loaded(soname, *args, **kwargs)
+        lib.BN_mod_exp_mont = mock.Mock(return_value=0)  # reports failure
+        return lib
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ctypes, "CDLL", failing)
+        _, powmod, _ = paillier._libcrypto_powmod()
+    monkeypatch.setattr(paillier, "_powmod", powmod)
+    rows = run_sweep(cfg)
+    assert [r.strategy for r in rows] == ["he-fl", "fedavg"]
+    assert rows[0].status == "error: round 0: libcrypto BN_mod_exp failed, 512-bit modulus"
+    assert rows[1].status == "ok"
+    assert [r[-1] for r in _read_rows(tmp_path / "m.csv")[1:]] == [r.status for r in rows]
 
 
 # --- cli ---------------------------------------------------------------------

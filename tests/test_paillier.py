@@ -1,8 +1,11 @@
+import ctypes
+import functools
 import math
 import random
 import re
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -12,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfed import paillier
-from crossfed.errors import CryptoRangeError, InvalidInputError
+from crossfed.errors import CryptoRangeError, InvalidInputError, NumericError
 from crossfed.models import ModelArch, ModelParams
 from crossfed.paillier import (
+    KEY_BITS_CHOICES,
     CipherVector,
     FixedPointCodec,
     add_cipher,
@@ -705,3 +709,127 @@ def test_modexp_backend_named():
         assert paillier._powmod is pow
     else:
         assert re.fullmatch(r"libcrypto\.so\.[\d.]+ \(OpenSSL \S+\)", backend), backend
+
+
+# --- Montgomery contexts and the chained r^n --------------------------------
+
+needs_libcrypto = pytest.mark.skipif(
+    paillier.MODEXP_BACKEND == "builtin pow", reason="no libcrypto loaded"
+)
+
+
+def _fallback_backend():
+    """The backend a process without libcrypto gets."""
+    with mock.patch.object(paillier, "_LIBCRYPTO_SONAMES", ()):
+        return paillier._libcrypto_powmod()
+
+
+def _in_a_new_thread(work):
+    # a new thread opens a new Scratch, with empty caches
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(work).result(timeout=120)
+
+
+def test_fallback_backend_is_builtin_pow():
+    name, powmod, crt_halves = _fallback_backend()
+    assert (name, powmod, crt_halves) == ("builtin pow", pow, paillier._pow_crt_halves)
+
+
+@functools.lru_cache(maxsize=None)
+def _pow_r_to_the_n(n, r):
+    return pow(r, n, n * n)
+
+
+@pytest.mark.parametrize("backend", ["loaded", "builtin pow"])
+@pytest.mark.parametrize("bits", KEY_BITS_CHOICES)
+def test_chained_r_to_the_n_matches_pow(monkeypatch, bits, backend):
+    pk, sk = keygen(bits, seed=79)
+    n = pk.n
+    rng = random.Random(bits)
+    rs = [rng.randrange(1, n), rng.randrange(1, n), 0, 1, n - 1, -3,
+          sk.p, sk.p * rng.randrange(1, sk.q), sk.q * 5,  # r = 0 mod p or mod q
+          n, n + 1, sk.p * n + 2, rng.randrange(n, 2 * n * n)]  # r >= n
+    if backend == "builtin pow":
+        _, powmod, crt_halves = _fallback_backend()
+        monkeypatch.setattr(paillier, "_powmod", powmod)
+        monkeypatch.setattr(paillier, "_crt_halves", crt_halves)
+    for r in rs:
+        assert paillier._r_to_the_n.__wrapped__(sk, r) == _pow_r_to_the_n(n, r), r
+
+
+@needs_libcrypto
+@pytest.mark.parametrize("moduli_bound, exponents_bound", [(1, 1), (3, 2)])
+def test_caches_evict_past_their_bound_with_pow_integers(
+    monkeypatch, moduli_bound, exponents_bound
+):
+    monkeypatch.setattr(paillier, "_MONT_CACHE_SIZE", moduli_bound)
+    monkeypatch.setattr(paillier, "_EXPONENT_CACHE_SIZE", exponents_bound)
+    rng = random.Random(moduli_bound)
+    odd = [rng.getrandbits(bits) | 1 | 1 << (bits - 1) for bits in (64, 255, 1024, 2048)]
+    moduli = [3, 7, *odd]
+    keys = [TOY, *_SEEDED_KEYS]
+
+    def work():
+        scratch = paillier._powmod.scratch()
+        for _ in range(3):  # every modulus and key comes back after its eviction
+            for mod in moduli:
+                base, exp = rng.randrange(-mod, 2 * mod), rng.getrandbits(300)
+                assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+                assert len(scratch.moduli) <= moduli_bound
+            for pk, sk in keys:
+                r = rng.randrange(2 * pk.n)
+                assert paillier._crt_halves(r, sk) == paillier._pow_crt_halves(r, sk)
+                assert paillier._r_to_the_n.__wrapped__(sk, r) == pow(r, pk.n, pk.n_squared)
+                assert len(scratch.moduli) <= moduli_bound
+                assert len(scratch.exponents) <= exponents_bound
+        return len(scratch.moduli), len(scratch.exponents)
+
+    assert _in_a_new_thread(work) == (moduli_bound, exponents_bound)
+
+
+@needs_libcrypto
+def test_scratch_close_twice_is_safe():
+    pk, sk = _SEEDED_KEYS[0]
+
+    def work():
+        scratch = paillier._powmod.scratch()
+        assert paillier._powmod(3, 5, 7) == 5
+        assert paillier._powmod(3, 5, 8) == 3
+        assert paillier._r_to_the_n.__wrapped__(sk, 2) == pow(2, pk.n, pk.n_squared)
+        assert len(scratch.moduli) == 5  # 7, p, p^2, q, q^2
+        assert len(scratch.exponents) == len({sk.q_mod_p1, sk.p, sk.p_mod_q1, sk.q})
+        scratch.close()
+        scratch.close()
+        assert (len(scratch.moduli), len(scratch.exponents), scratch.nums, scratch.ctx) == (
+            0, 0, [], None)
+        # the thread's next call opens a new Scratch
+        assert paillier._powmod(3, 5, 7) == 5
+        assert paillier._powmod.scratch() is not scratch
+
+    _in_a_new_thread(work)
+
+
+@needs_libcrypto
+@pytest.mark.parametrize(
+    "name, mod, message",
+    [
+        ("BN_mod_exp_mont", 7, "BN_mod_exp failed, 3-bit modulus"),
+        ("BN_MONT_CTX_set", 7, "BN_MONT_CTX_set failed, 3-bit modulus"),
+        ("BN_mod_exp", 8, "BN_mod_exp failed, 4-bit modulus"),
+    ],
+)
+def test_libcrypto_failure_is_a_numeric_error(monkeypatch, name, mod, message):
+    loaded = ctypes.CDLL
+
+    def failing(soname, *args, **kwargs):
+        lib = loaded(soname, *args, **kwargs)
+        setattr(lib, name, mock.Mock(return_value=0))  # reports failure
+        return lib
+
+    monkeypatch.setattr(ctypes, "CDLL", failing)
+    _, powmod, crt_halves = paillier._libcrypto_powmod()
+    with pytest.raises(NumericError, match=f"^libcrypto {message}$"):
+        powmod(3, 5, mod)
+    if mod % 2:
+        with pytest.raises(NumericError):
+            crt_halves(2, TOY[1])
