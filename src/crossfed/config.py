@@ -1,16 +1,26 @@
 """Experiment config files: INI-style ``key = value`` under sections.
 
-Parsing is schema-driven so unknown keys, type errors, and constraint
-violations all raise ConfigError naming the section, key, and (best
-effort) the line in the file. ``render_config`` emits a canonical form
-whose parse-render cycle is a fixed point, which is what the CLI's
-print-config subcommand prints.
+Each setting is stated once, as a field of ``ExperimentConfig`` or
+``DataSection``: ``_SECTIONS`` names the section and key it is read
+from, and its type picks the parser (int, float, str, or a
+comma-separated list of one of them; floats must be finite). Unknown
+keys, type errors, and constraint violations all raise ConfigError
+naming the section, key, and (best effort) the line in the file.
+``render_config`` emits a canonical form whose parse-render cycle is a
+fixed point, which is what the CLI's print-config subcommand prints.
+
+Each sweep kind is one row of ``SWEEPS``: its CSV name, the field a
+sweep value sets, and the check every value must pass. ``cell_config``
+applies one sweep value.
 """
 from __future__ import annotations
 
 import configparser
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from . import datasets
 from .errors import ConfigError
@@ -18,7 +28,6 @@ from .federation import PRESETS, STRATEGIES
 from .paillier import KEY_BITS_CHOICES
 from .privacy import gaussian_delta, gaussian_sigma
 
-SWEEP_KINDS = ("privacy", "hidden", "lr", "single")
 DATA_KINDS = datasets.KINDS + ("csv",)
 
 _SYNTHETIC_ONLY = ("dim", "samples", "seed", "separation", "noise")
@@ -64,65 +73,87 @@ class ExperimentConfig:
     extractor_seed: int = 0
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw.strip())
+class _NotFinite(ValueError):
+    """A float that parses as inf or nan."""
 
 
-def _parse_float(raw: str) -> float:
-    return float(raw.strip())
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise _NotFinite(raw)
+    return value
 
 
-def _parse_str(raw: str) -> str:
-    return raw.strip()
+_SCALARS = {int: int, float: _finite, str: str}
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(part.strip()) for part in raw.split(",") if part.strip()]
+def _parser(kind) -> Callable[[str], object]:
+    """Parser of a raw value into a field of type ``kind``: int, float, str,
+    or a comma-separated list of one of them."""
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        scalar = _SCALARS[item]
+        return lambda raw: [scalar(part.strip()) for part in raw.split(",") if part.strip()]
+    scalar = _SCALARS[kind]
+    return lambda raw: scalar(raw.strip())
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(part.strip()) for part in raw.split(",") if part.strip()]
+# evaluated once: each call evaluates every annotation string afresh
+_HINTS = {kind: get_type_hints(kind) for kind in (ExperimentConfig, DataSection)}
 
 
-def _parse_str_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
+def _field_type(path: str):
+    """Type of the ExperimentConfig attribute at a dotted path."""
+    kind = ExperimentConfig
+    for name in path.split("."):
+        kind = _HINTS[kind][name]
+    return kind
 
+
+# section -> (prefix of its ExperimentConfig attributes, keys in canonical order)
+_SECTIONS = {
+    "experiment": ("", ("strategies", "seeds", "sweep", "sweep_values", "output")),
+    "data": ("data.", tuple(f.name for f in fields(DataSection))),
+    "federation": ("", ("nodes", "max_rounds", "target_accuracy", "hidden_units", "he_bits")),
+    "train": ("", ("learning_rate", "local_epochs", "batch_size")),
+    "dp": ("dp_", ("epsilon", "delta", "clip_norm")),
+    "extractor": ("extractor_", ("output_dim", "gamma", "seed")),
+}
 
 # (section, key) -> (attribute path on ExperimentConfig, parser)
 _SCHEMA = {
-    ("experiment", "strategies"): ("strategies", _parse_str_list),
-    ("experiment", "seeds"): ("seeds", _parse_int_list),
-    ("experiment", "sweep"): ("sweep", _parse_str),
-    ("experiment", "sweep_values"): ("sweep_values", _parse_float_list),
-    ("experiment", "output"): ("output", _parse_str),
-    ("data", "kind"): ("data.kind", _parse_str),
-    ("data", "dim"): ("data.dim", _parse_int),
-    ("data", "samples"): ("data.samples", _parse_int),
-    ("data", "test_samples"): ("data.test_samples", _parse_int),
-    ("data", "seed"): ("data.seed", _parse_int),
-    ("data", "separation"): ("data.separation", _parse_float),
-    ("data", "noise"): ("data.noise", _parse_float),
-    ("data", "path"): ("data.path", _parse_str),
-    ("data", "label_column"): ("data.label_column", _parse_str),
-    ("data", "partition"): ("data.partition", _parse_str),
-    ("data", "alpha"): ("data.alpha", _parse_float),
-    ("federation", "nodes"): ("nodes", _parse_int),
-    ("federation", "max_rounds"): ("max_rounds", _parse_int),
-    ("federation", "target_accuracy"): ("target_accuracy", _parse_float),
-    ("federation", "hidden_units"): ("hidden_units", _parse_int),
-    ("federation", "he_bits"): ("he_bits", _parse_int),
-    ("train", "learning_rate"): ("learning_rate", _parse_float),
-    ("train", "local_epochs"): ("local_epochs", _parse_int),
-    ("train", "batch_size"): ("batch_size", _parse_int),
-    ("dp", "epsilon"): ("dp_epsilon", _parse_float),
-    ("dp", "delta"): ("dp_delta", _parse_float),
-    ("dp", "clip_norm"): ("dp_clip_norm", _parse_float),
-    ("extractor", "output_dim"): ("extractor_output_dim", _parse_int),
-    ("extractor", "gamma"): ("extractor_gamma", _parse_float),
-    ("extractor", "seed"): ("extractor_seed", _parse_int),
+    (section, key): (prefix + key, _parser(_field_type(prefix + key)))
+    for section, (prefix, keys) in _SECTIONS.items()
+    for key in keys
 }
 
-_SECTION_ORDER = ("experiment", "data", "federation", "train", "dp", "extractor")
+
+class Sweep(NamedTuple):
+    param_name: str  # the CSV's sweep_param_name
+    field: str | None  # the ExperimentConfig attribute a sweep value sets
+    valid: Callable[[float], bool]  # every sweep value must pass it
+    message: str
+
+
+SWEEPS = {
+    "privacy": Sweep("epsilon", "dp_epsilon", lambda v: v > 0,
+                     "epsilon values must be positive"),
+    "hidden": Sweep("hidden_units", "hidden_units", lambda v: v == int(v) and v >= 0,
+                    "hidden-unit values must be non-negative integers"),
+    "lr": Sweep("learning_rate", "learning_rate", lambda v: 0 < v <= 1,
+                "learning rates must be in (0, 1]"),
+    "single": Sweep("single", None, lambda v: False, "must be empty when sweep = single"),
+}
+SWEEP_KINDS = tuple(SWEEPS)
+
+
+def cell_config(cfg: ExperimentConfig, value: float | None) -> ExperimentConfig:
+    """``cfg`` with the swept field set to ``value``, cast to the field's
+    type; ``cfg`` itself for ``single`` or no value."""
+    field_name = SWEEPS[cfg.sweep].field
+    if field_name is None or value is None:
+        return cfg
+    return replace(cfg, **{field_name: _field_type(field_name)(value)})
 
 
 def _find_line(text: str, section: str, key: str) -> str:
@@ -135,21 +166,6 @@ def _find_line(text: str, section: str, key: str) -> str:
         elif current == section and pattern.match(line):
             return f" (line {number})"
     return ""
-
-
-def _set_attr(cfg: ExperimentConfig, path: str, value) -> None:
-    if "." in path:
-        head, tail = path.split(".", 1)
-        setattr(getattr(cfg, head), tail, value)
-    else:
-        setattr(cfg, path, value)
-
-
-def _get_attr(cfg: ExperimentConfig, path: str):
-    obj = cfg
-    for part in path.split("."):
-        obj = getattr(obj, part)
-    return obj
 
 
 def _fail(section: str, key: str, text: str, message: str):
@@ -170,23 +186,11 @@ def _validate(cfg: ExperimentConfig, text: str, present: set[tuple[str, str]]) -
     check(bool(cfg.seeds), "experiment", "seeds", "must not be empty")
     check(cfg.sweep in SWEEP_KINDS, "experiment", "sweep",
           f"must be one of {SWEEP_KINDS}, got {cfg.sweep!r}")
-    if cfg.sweep == "single":
-        check(not cfg.sweep_values, "experiment", "sweep_values",
-              "must be empty when sweep = single")
-    else:
-        check(bool(cfg.sweep_values), "experiment", "sweep_values",
-              f"must be provided for sweep = {cfg.sweep}")
-    if cfg.sweep == "privacy":
-        for v in cfg.sweep_values:
-            check(v > 0, "experiment", "sweep_values", "epsilon values must be positive")
-    if cfg.sweep == "hidden":
-        for v in cfg.sweep_values:
-            check(v == int(v) and v >= 0, "experiment", "sweep_values",
-                  "hidden-unit values must be non-negative integers")
-    if cfg.sweep == "lr":
-        for v in cfg.sweep_values:
-            check(0 < v <= 1, "experiment", "sweep_values",
-                  "learning rates must be in (0, 1]")
+    sweep = SWEEPS[cfg.sweep]
+    check(bool(cfg.sweep_values) or sweep.field is None, "experiment", "sweep_values",
+          f"must be provided for sweep = {cfg.sweep}")
+    for v in cfg.sweep_values:  # single takes none, so it fails the first
+        check(sweep.valid(v), "experiment", "sweep_values", sweep.message)
     check(bool(cfg.output), "experiment", "output", "must not be empty")
 
     d = cfg.data
@@ -230,7 +234,7 @@ def _validate(cfg: ExperimentConfig, text: str, present: set[tuple[str, str]]) -
     if any(PRESETS[s][0] == "dp" for s in cfg.strategies):
         # the classical sigma is proved only for epsilon < 1; past that it
         # can miss delta, so check it against the exact curve
-        if cfg.sweep == "privacy":
+        if sweep.field == "dp_epsilon":
             section, key, epsilons = "experiment", "sweep_values", cfg.sweep_values
         else:
             section, key, epsilons = "dp", "epsilon", [cfg.dp_epsilon]
@@ -254,7 +258,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     present: set[tuple[str, str]] = set()
     for section in parser.sections():
-        if section not in _SECTION_ORDER:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             if (section, key) == ("extractor", "kind"):  # rff, the one feature map
@@ -268,9 +272,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
             attr, cast = _SCHEMA[(section, key)]
             try:
                 value = cast(raw)
+            except _NotFinite:
+                _fail(section, key, text, f"must be finite, got {raw.strip()!r}")
             except ValueError:
                 _fail(section, key, text, f"cannot parse {raw!r}")
-            _set_attr(cfg, attr, value)
+            owner, _, name = attr.rpartition(".")
+            setattr(attrgetter(owner)(cfg) if owner else cfg, name, value)
             present.add((section, key))
     _validate(cfg, text, present)
     return cfg
@@ -287,8 +294,6 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, list):
@@ -298,20 +303,13 @@ def _format_value(value) -> str:
 
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it back yields an equal config."""
-    skip_csv = cfg.data.kind != "csv"
+    skipped = {("experiment", "sweep_values")} if cfg.sweep == "single" else set()
+    skipped.update(("data", key) for key in
+                   (_SYNTHETIC_ONLY if cfg.data.kind == "csv" else _CSV_ONLY))
     lines = []
-    for section in _SECTION_ORDER:
-        body = []
-        for (sec, key), (attr, _) in _SCHEMA.items():
-            if sec != section:
-                continue
-            if sec == "data" and skip_csv and key in _CSV_ONLY:
-                continue
-            if sec == "data" and not skip_csv and key in _SYNTHETIC_ONLY:
-                continue
-            if key == "sweep_values" and cfg.sweep == "single":
-                continue
-            body.append(f"{key} = {_format_value(_get_attr(cfg, attr))}")
+    for section, (prefix, keys) in _SECTIONS.items():
+        body = [f"{key} = {_format_value(attrgetter(prefix + key)(cfg))}"
+                for key in keys if (section, key) not in skipped]
         if body:
             lines.append(f"[{section}]")
             lines.extend(body)

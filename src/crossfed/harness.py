@@ -3,9 +3,11 @@ cells, runs each, and writes one deterministic metrics CSV.
 
 Only the two wall-clock columns vary between reruns of the same config;
 everything else is derived from seeds. Cells that fail are recorded in
-their row's status column and the sweep keeps going. ``run_cell`` alone
-applies the feature front-end: it augments a cell's train and test sets
-once, before partitioning, for training and metrics alike.
+their row's status column and the sweep keeps going. ``run_cell`` first
+sets the cell's sweep value (``config.cell_config``) and hands that
+config to everything after it, so nothing here knows the sweep kinds.
+It alone applies the feature front-end: it augments a cell's train and
+test sets once, before partitioning, for training and metrics alike.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import os
 import tempfile
 from dataclasses import dataclass, fields
 
-from .config import ExperimentConfig
+from .config import SWEEPS, ExperimentConfig, cell_config
 from .datasets import PartitionScheme, SyntheticSpec, generate, load_csv, partition
 from .errors import CrossFedError, InvalidInputError
 from .features import FeatureExtractor, augment_dataset
@@ -23,13 +25,6 @@ from .federation import PRESETS, FederationConfig, RoundRecord, TrainingResult, 
 from .models import LabeledDataset, TrainConfig, accuracy
 from .privacy import DpConfig, membership_advantage
 from .rngutil import derive_int, derive_rng
-
-_SWEEP_PARAM_NAMES = {
-    "privacy": "epsilon",
-    "hidden": "hidden_units",
-    "lr": "learning_rate",
-    "single": "single",
-}
 
 # data-derivation namespaces
 _TAG_TRAIN_DATA, _TAG_TEST_DATA, _TAG_PARTITION = range(3)
@@ -92,29 +87,14 @@ def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[LabeledDataset, La
     return generate(train_spec), generate(test_spec)
 
 
-def build_federation_config(
-    cfg: ExperimentConfig,
-    strategy: str,
-    sweep_value: float | None,
-    seed: int,
-) -> FederationConfig:
-    """Apply the sweep parameter and strategy extras to one cell's config."""
-    hidden_units = cfg.hidden_units
-    learning_rate = cfg.learning_rate
-    epsilon = cfg.dp_epsilon
-    if sweep_value is not None:
-        if cfg.sweep == "hidden":
-            hidden_units = int(sweep_value)
-        elif cfg.sweep == "lr":
-            learning_rate = float(sweep_value)
-        elif cfg.sweep == "privacy":
-            epsilon = float(sweep_value)
+def build_federation_config(cfg: ExperimentConfig, strategy: str, seed: int) -> FederationConfig:
+    """One cell's federation config, with its strategy's extras."""
     # an unknown name gets no extras; FederationConfig then rejects it
     protection = PRESETS.get(strategy, (None,))[0]
     dp = None
     if protection == "dp":
         dp = DpConfig(
-            epsilon=epsilon,
+            epsilon=cfg.dp_epsilon,
             clip_norm=cfg.dp_clip_norm,
             delta=cfg.dp_delta,
             rounds=max(cfg.max_rounds, 1),
@@ -124,12 +104,12 @@ def build_federation_config(
         max_rounds=cfg.max_rounds,
         strategy=strategy,
         train=TrainConfig(
-            learning_rate=learning_rate,
+            learning_rate=cfg.learning_rate,
             local_epochs=cfg.local_epochs,
             batch_size=cfg.batch_size,
             rng_seed=seed,
         ),
-        hidden_units=hidden_units,
+        hidden_units=cfg.hidden_units,
         target_accuracy=cfg.target_accuracy,
         seed=seed,
         dp=dp,
@@ -141,10 +121,11 @@ def run_cell(
     cfg: ExperimentConfig, strategy: str, sweep_value: float | None, seed: int
 ) -> tuple[MetricsRow, TrainingResult | None]:
     """One (strategy, sweep value, seed) training run plus its metrics."""
-    name = _SWEEP_PARAM_NAMES[cfg.sweep]
+    name = SWEEPS[cfg.sweep].param_name
+    cfg = cell_config(cfg, sweep_value)
     try:
         train_data, test_data = build_datasets(cfg, seed)
-        fed_cfg = build_federation_config(cfg, strategy, sweep_value, seed)
+        fed_cfg = build_federation_config(cfg, strategy, seed)
         if PRESETS[strategy][1]:
             extractor = FeatureExtractor(
                 seed=cfg.extractor_seed,

@@ -23,9 +23,10 @@ loaded by soname), some 10x faster than the builtin ``pow`` at 1024- and
 2048-bit moduli. Each thread caches, per odd modulus, its BIGNUM and
 ``BN_MONT_CTX`` (up to the ``keygen`` memo's 128 keys x 5 moduli), so
 ``_powmod`` converts only the base and the exponent; even moduli and
-modulus 1 take ``BN_mod_exp``. The key holder's r^n is one chain per CRT
-half (``_crt_halves``): r goes in once, and the intermediate and the
-key's fixed exponents stay BIGNUMs. A failed libcrypto call raises
+modulus 1, which no caller here passes, take the builtin ``pow``, as do
+negative exponents. The key holder's r^n is one chain per CRT half
+(``_crt_halves``): r goes in once, and the intermediate and the key's
+fixed exponents stay BIGNUMs. A failed libcrypto call raises
 ``NumericError``, so it ends in the cell's status. Nothing needs
 installing: where no libcrypto loads, the builtin ``pow`` serves, chosen
 once at import and with the same integers, so keys, ciphertexts and every
@@ -116,7 +117,7 @@ def _libcrypto_powmod() -> tuple[str, Callable[[int, int, int], int], Callable]:
             lib = ctypes.CDLL(soname)
             version, bn_ctx_new, bn_new, bn_free, bn_ctx_free = (
                 lib.OpenSSL_version, lib.BN_CTX_new, lib.BN_new, lib.BN_free, lib.BN_CTX_free)
-            bin2bn, bn2binpad, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp
+            bin2bn, bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
             mont_new, mont_set, mont_free, mod_exp_mont = (lib.BN_MONT_CTX_new,
                 lib.BN_MONT_CTX_set, lib.BN_MONT_CTX_free, lib.BN_mod_exp_mont)
         except (OSError, AttributeError):  # absent, or too old for BN_bn2binpad
@@ -133,7 +134,6 @@ def _libcrypto_powmod() -> tuple[str, Callable[[int, int, int], int], Callable]:
     bin2bn.restype = ctypes.c_void_p
     bn2binpad.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int]
     bn2binpad.restype = ctypes.c_int
-    mod_exp.argtypes, mod_exp.restype = [ctypes.c_void_p] * 5, ctypes.c_int
     mod_exp_mont.argtypes, mod_exp_mont.restype = [ctypes.c_void_p] * 6, ctypes.c_int
     mont_set.argtypes, mont_set.restype = [ctypes.c_void_p] * 3, ctypes.c_int
 
@@ -164,7 +164,7 @@ def _libcrypto_powmod() -> tuple[str, Callable[[int, int, int], int], Callable]:
         def __init__(self):
             self.moduli, self.exponents = OrderedDict(), OrderedDict()
             self.ctx = bn_ctx_new()
-            self.nums = [bn_new() for _ in range(4)]  # result, base, exponent, modulus
+            self.nums = [bn_new() for _ in range(3)]  # result, base, exponent
             if not self.ctx or not all(self.nums):
                 self.close()
                 raise NumericError("libcrypto could not allocate a BN_CTX or BIGNUM")
@@ -224,21 +224,16 @@ def _libcrypto_powmod() -> tuple[str, Callable[[int, int, int], int], Callable]:
         return current
 
     def powmod(base: int, exp: int, mod: int) -> int:
-        """``pow(base, exp, mod)``; libcrypto for exp >= 0 and mod >= 1."""
-        if exp < 0 or mod < 1:  # inverses and mod <= 0: pow's own semantics
+        """``pow(base, exp, mod)``; libcrypto for exp >= 0 and an odd mod > 1,
+        as every key modulus and Miller-Rabin candidate is."""
+        if exp < 0 or mod <= 1 or not mod & 1:  # Montgomery needs an odd modulus
             return pow(base, exp, mod)
         s = scratch()
-        result, bn_base, bn_exp, bn_mod = s.nums
+        result, bn_base, bn_exp = s.nums
         load(base % mod, bn_base)
         load(exp, bn_exp)
-        if mod & 1 and mod > 1:
-            bn_mod, mont, out = s.modulus(mod)
-            ok = mod_exp_mont(result, bn_base, bn_exp, bn_mod, s.ctx, mont)
-        else:  # Montgomery needs an odd modulus; 1 is BN_mod_exp's own case
-            load(mod, bn_mod)
-            out = ctypes.create_string_buffer((mod.bit_length() + 7) // 8)
-            ok = mod_exp(result, bn_base, bn_exp, bn_mod, s.ctx)
-        if not ok:
+        bn_mod, mont, out = s.modulus(mod)
+        if not mod_exp_mont(result, bn_base, bn_exp, bn_mod, s.ctx, mont):
             raise NumericError(f"libcrypto BN_mod_exp failed, {mod.bit_length()}-bit modulus")
         return read(result, out)
 
@@ -247,7 +242,7 @@ def _libcrypto_powmod() -> tuple[str, Callable[[int, int, int], int], Callable]:
         exponentiations of a half: r goes in once, and the intermediate and
         the key's exponents stay BIGNUMs."""
         s = scratch()
-        result, bn_r, middle, _ = s.nums
+        result, bn_r, middle = s.nums
         load(r % sk.n if r < 0 else r, bn_r)  # BN_mod_exp_mont reduces r >= p
         halves = []
         for prime, square, reduced in (

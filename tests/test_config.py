@@ -1,14 +1,25 @@
+import importlib.util
+import sys
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
+from crossfed import config
+from crossfed.cli import main
 from crossfed.config import (
+    SWEEP_KINDS,
+    DataSection,
     ExperimentConfig,
     parse_config,
     parse_config_text,
     render_config,
 )
 from crossfed.errors import ConfigError
+
+ROOT = Path(__file__).parent.parent
 
 FULL = """\
 [experiment]
@@ -236,3 +247,135 @@ def test_shipped_configs_pass_the_dp_calibration_check():
     assert paths
     for path in paths:
         assert "dp-fl" in parse_config(path).strategies, path.name
+
+
+# --- one statement per setting ------------------------------------------------
+
+
+def _field_type(attr):
+    kind = ExperimentConfig
+    for name in attr.split("."):
+        kind = get_type_hints(kind)[name]
+    return kind
+
+
+FLOAT_KEYS = [key for key, (attr, _) in config._SCHEMA.items() if _field_type(attr) is float]
+
+
+def test_every_field_is_set_by_exactly_one_key():
+    attrs = [attr for attr, _ in config._SCHEMA.values()]
+    expected = [f.name for f in fields(ExperimentConfig) if f.name != "data"]
+    expected += [f"data.{f.name}" for f in fields(DataSection)]
+    assert sorted(attrs) == sorted(expected)
+    assert len(FLOAT_KEYS) == 9  # each one a case of the non-finite test below
+
+
+# every key set away from its default: kind = csv forbids the synthetic keys,
+# so the csv keys get a config of their own
+NON_DEFAULT = """\
+[experiment]
+strategies = dp-fl, ours
+seeds = 9, 4
+sweep = hidden
+sweep_values = 2, 6
+output = other.csv
+
+[data]
+kind = xor
+dim = 2
+samples = 64
+test_samples = 16
+seed = 3
+separation = 2.5
+noise = 0.25
+partition = dirichlet
+alpha = 2.0
+
+[federation]
+nodes = 2
+max_rounds = 7
+target_accuracy = 0.6
+hidden_units = 3
+he_bits = 1024
+
+[train]
+learning_rate = 0.125
+local_epochs = 3
+batch_size = 8
+
+[dp]
+epsilon = 0.5
+delta = 1e-07
+clip_norm = 2.0
+
+[extractor]
+output_dim = 5
+gamma = 0.75
+seed = 6
+"""
+NON_DEFAULT_CSV = "[data]\nkind = csv\npath = rows.csv\nlabel_column = y\n"
+
+
+def test_config_setting_every_key_renders_to_a_fixed_point():
+    configs = [parse_config_text(NON_DEFAULT), parse_config_text(NON_DEFAULT_CSV)]
+    default = ExperimentConfig()
+    for attr, _ in config._SCHEMA.values():
+        get = attrgetter(attr)
+        assert any(get(cfg) != get(default) for cfg in configs), attr
+    for cfg in configs:
+        text = render_config(cfg)
+        assert parse_config_text(text) == cfg
+        assert render_config(parse_config_text(text)) == text
+
+
+_NON_FINITE_CASES = [
+    pytest.param(f"[experiment]\nstrategies = fedavg, dp-fl\n\n[{section}]\n{key} = {{value}}\n",
+                 section, key, 5, id=f"{section}.{key}")
+    for section, key in FLOAT_KEYS
+] + [
+    pytest.param(f"[experiment]\nstrategies = fedavg, dp-fl\nsweep = {kind}\n"
+                 "sweep_values = 0.5, {value}\n", "experiment", "sweep_values", 4, id=f"sweep={kind}")
+    for kind in SWEEP_KINDS
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("template, section, key, line", _NON_FINITE_CASES)
+def test_non_finite_number_is_a_config_error_with_its_line(
+    tmp_path, capsys, template, section, key, line, value
+):
+    text = template.format(value=value)
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} \(line {line}\): must be finite"):
+        parse_config_text(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["print-config", "-c", str(path)]) == 2
+    assert f"config error: [{section}] {key} (line {line})" in capsys.readouterr().err
+
+
+def _perfbench_workloads():
+    # the benchmark's own module, loaded read-only from its file
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _perfbench_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_benchmark_configs_parse_and_print_config_round_trips(
+    tmp_path, capsys, workload, seed
+):
+    path = tmp_path / "workload.ini"
+    path.write_text(WORKLOADS[workload].config_text(seed, str(tmp_path / "o.csv")))
+    cfg = parse_config(path)
+    assert main(["print-config", "-c", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == render_config(cfg)
+    assert parse_config_text(printed) == cfg
+    assert render_config(parse_config_text(printed)) == printed

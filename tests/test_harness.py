@@ -11,7 +11,7 @@ import pytest
 
 from crossfed import features, harness, paillier
 from crossfed.cli import main
-from crossfed.config import parse_config_text
+from crossfed.config import SWEEP_KINDS, parse_config_text
 from crossfed.federation import PRESETS, STRATEGIES, run_training
 from crossfed.harness import CSV_COLUMNS, run_cell, run_sweep
 
@@ -181,6 +181,39 @@ def test_run_cell_builds_preset_extras(tmp_path, monkeypatch, strategy):
     width = cfg.extractor_output_dim if front_end else cfg.data.dim
     assert {s.dim for s in shards} == {test_data.dim} == {width}
     assert len(augmented) == (2 if front_end else 0)
+
+
+# kind -> (CSV name, sweep value, where the cell's FederationConfig holds it,
+# the value held there); single sets nothing, so the base hidden_units stays
+SWEPT = {
+    "privacy": ("epsilon", 2.0, lambda fed: fed.dp.epsilon, 2.0),
+    "hidden": ("hidden_units", 8.0, lambda fed: fed.hidden_units, 8),
+    "lr": ("learning_rate", 0.125, lambda fed: fed.train.learning_rate, 0.125),
+    "single": ("single", None, lambda fed: fed.hidden_units, 0),
+}
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_swept_value_reaches_the_cell_with_its_field_type(tmp_path, monkeypatch, kind):
+    name, value, read, held = SWEPT[kind]
+    values = "" if value is None else f"\nsweep_values = {value}"
+    text = (SMALL.format(out=tmp_path / "x.csv")
+            .replace("strategies = fedavg", "strategies = dp-fl")
+            .replace("sweep = single", f"sweep = {kind}{values}")
+            .replace("max_rounds = 3", "max_rounds = 1"))
+    cfg = parse_config_text(text)
+    built = []
+
+    def spy(fed_cfg, shards, test_data):
+        built.append(fed_cfg)
+        return run_training(fed_cfg, shards, test_data)
+
+    monkeypatch.setattr(harness, "run_training", spy)
+    row, _ = run_cell(cfg, "dp-fl", value, 1)
+    assert (row.status, row.sweep_param_name, row.sweep_param_value) == ("ok", name, value)
+    (fed_cfg,) = built
+    assert read(fed_cfg) == held and type(read(fed_cfg)) is type(held)
+    assert cfg == parse_config_text(text)  # the sweep's own config is untouched
 
 
 # --- reuse of the key holder's randomisers across cells ----------------------

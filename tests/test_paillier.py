@@ -815,7 +815,6 @@ def test_scratch_close_twice_is_safe():
     [
         ("BN_mod_exp_mont", 7, "BN_mod_exp failed, 3-bit modulus"),
         ("BN_MONT_CTX_set", 7, "BN_MONT_CTX_set failed, 3-bit modulus"),
-        ("BN_mod_exp", 8, "BN_mod_exp failed, 4-bit modulus"),
     ],
 )
 def test_libcrypto_failure_is_a_numeric_error(monkeypatch, name, mod, message):
@@ -830,6 +829,5 @@ def test_libcrypto_failure_is_a_numeric_error(monkeypatch, name, mod, message):
     _, powmod, crt_halves = paillier._libcrypto_powmod()
     with pytest.raises(NumericError, match=f"^libcrypto {message}$"):
         powmod(3, 5, mod)
-    if mod % 2:
-        with pytest.raises(NumericError):
-            crt_halves(2, TOY[1])
+    with pytest.raises(NumericError):
+        crt_halves(2, TOY[1])
