@@ -18,7 +18,7 @@ import time
 from . import paillier
 from .config import parse_config, render_config
 from .errors import ConfigError, CrossFedError
-from .harness import run_cell, write_round_log
+from .harness import check_output_dir, run_cell, write_atomic, write_round_log
 from .harness import run_sweep as _run_sweep
 
 
@@ -26,7 +26,9 @@ def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     strategy = cfg.strategies[0]
     seed = cfg.seeds[0]
-    row, result = run_cell(cfg, strategy, None, seed)
+    if args.round_log:
+        check_output_dir(args.round_log)
+    row, result = run_cell(cfg, strategy, None, seed, diagnostics=bool(args.round_log))
     if result is not None and args.round_log:
         write_round_log(result, args.round_log)
     print(f"strategy={row.strategy} seed={row.seed} rounds={len(result.records) if result else 0}")
@@ -73,6 +75,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_keygen(args) -> int:
+    check_output_dir(args.output)
     pk, sk = paillier.keygen(args.bits, args.seed)
     payload = {
         "bits": args.bits,
@@ -80,9 +83,7 @@ def _cmd_keygen(args) -> int:
         "public": {"n": hex(pk.n), "g": hex(pk.g)},
         "private": {"lambda": hex(sk.lam), "mu": hex(sk.mu)},
     }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_atomic(args.output, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
     print(f"wrote {args.bits}-bit keypair to {args.output}")
     return 0
 

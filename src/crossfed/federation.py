@@ -18,6 +18,11 @@ The ``smc`` and ``he`` protections encode with one ``FixedPointCodec``
 count-weighted sum fits the codec's signed range before anything is
 encoded, so an oversized update ends as a ``RoundError``, never as a
 silently wrapped sum.
+
+Each round evaluates the new global model on the test set. Its accuracy
+on every node's shard and the nodes' mean local loss cost one forward
+pass per shard each and only the round log reads them, so a round
+computes them only when ``FederationConfig.diagnostics`` is set.
 """
 from __future__ import annotations
 
@@ -35,6 +40,7 @@ from .models import (
     ModelParams,
     TrainConfig,
     accuracy,
+    dataset_loss,
     init_params,
     local_train,
     param_delta,
@@ -98,6 +104,7 @@ class FederationConfig:
     seed: int = 0
     dp: DpConfig | None = None
     he_bits: int | None = None
+    diagnostics: bool = False  # set for the round log; see the module docstring
 
     def __post_init__(self):
         if self.strategy not in PRESETS:
@@ -119,9 +126,9 @@ class FederationConfig:
 class RoundRecord:
     round_index: int
     global_params: ModelParams
-    train_accuracy: float
+    train_accuracy: float | None  # None unless FederationConfig.diagnostics
     test_accuracy: float
-    mean_local_loss: float
+    mean_local_loss: float | None  # None unless FederationConfig.diagnostics
     wall_millis: float  # measured, excluded from determinism guarantees
     simulated_millis: float
     simulated_comm_bytes: int
@@ -300,15 +307,13 @@ def run_round(
     t = state.round_index
     start = time.perf_counter()
     updates = []  # ascending node_id
-    losses = []
     for node in state.nodes:
         train_cfg = replace(cfg.train, rng_seed=derive_int(node.seed, t))
         try:
-            trained, loss = local_train(state.global_params, node.data, train_cfg)
+            trained = local_train(state.global_params, node.data, train_cfg)
         except NumericError as exc:
             raise RoundError(t, node.node_id, str(exc)) from exc
         updates.append((node.node_id, trained, node.data.count))
-        losses.append(loss)
     try:
         new_global = _aggregate_with_strategy(state, cfg, updates, t)
     except (CryptoRangeError, NumericError, InvalidInputError) as exc:
@@ -317,15 +322,20 @@ def run_round(
     state.global_params = new_global
     state.round_index = t + 1
 
-    total = sum(n.data.count for n in state.nodes)
-    train_acc = sum(accuracy(new_global, n.data) * n.data.count for n in state.nodes) / total
+    train_acc = mean_loss = None
+    if cfg.diagnostics:
+        total = sum(n.data.count for n in state.nodes)
+        train_acc = sum(accuracy(new_global, n.data) * n.data.count for n in state.nodes) / total
+        mean_loss = float(
+            np.mean([dataset_loss(p, n.data) for (_, p, _), n in zip(updates, state.nodes)])
+        )
     sim_ms, comm = _simulate_round(state, cfg, [n.data.count for n in state.nodes])
     record = RoundRecord(
         round_index=t,
         global_params=new_global,
         train_accuracy=train_acc,
         test_accuracy=accuracy(new_global, state.test_data),
-        mean_local_loss=float(np.mean(losses)),
+        mean_local_loss=mean_loss,
         wall_millis=(time.perf_counter() - start) * 1000.0,
         simulated_millis=sim_ms,
         simulated_comm_bytes=comm,
@@ -364,5 +374,5 @@ def migrate_and_finetune(
     to the input reproduces the result. A model trained behind the feature
     front-end needs the node's data augmented by the caller.
     """
-    tuned, _ = local_train(params, target.data, ft)
+    tuned = local_train(params, target.data, ft)
     return tuned, param_delta(params, tuned)

@@ -8,6 +8,8 @@ sets the cell's sweep value (``config.cell_config``) and hands that
 config to everything after it, so nothing here knows the sweep kinds.
 It alone applies the feature front-end: it augments a cell's train and
 test sets once, before partitioning, for training and metrics alike.
+Every output file goes through ``write_atomic``, and ``run_sweep`` checks
+its output directory before the first cell.
 """
 from __future__ import annotations
 
@@ -87,7 +89,9 @@ def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[LabeledDataset, La
     return generate(train_spec), generate(test_spec)
 
 
-def build_federation_config(cfg: ExperimentConfig, strategy: str, seed: int) -> FederationConfig:
+def build_federation_config(
+    cfg: ExperimentConfig, strategy: str, seed: int, *, diagnostics: bool = False
+) -> FederationConfig:
     """One cell's federation config, with its strategy's extras."""
     # an unknown name gets no extras; FederationConfig then rejects it
     protection = PRESETS.get(strategy, (None,))[0]
@@ -114,18 +118,28 @@ def build_federation_config(cfg: ExperimentConfig, strategy: str, seed: int) -> 
         seed=seed,
         dp=dp,
         he_bits=cfg.he_bits if protection == "he" else None,
+        diagnostics=diagnostics,
     )
 
 
 def run_cell(
-    cfg: ExperimentConfig, strategy: str, sweep_value: float | None, seed: int
+    cfg: ExperimentConfig,
+    strategy: str,
+    sweep_value: float | None,
+    seed: int,
+    *,
+    diagnostics: bool = False,
 ) -> tuple[MetricsRow, TrainingResult | None]:
-    """One (strategy, sweep value, seed) training run plus its metrics."""
+    """One (strategy, sweep value, seed) training run plus its metrics.
+
+    ``diagnostics`` fills each round's train accuracy and mean local loss,
+    which only the round log reads.
+    """
     name = SWEEPS[cfg.sweep].param_name
     cfg = cell_config(cfg, sweep_value)
     try:
         train_data, test_data = build_datasets(cfg, seed)
-        fed_cfg = build_federation_config(cfg, strategy, seed)
+        fed_cfg = build_federation_config(cfg, strategy, seed, diagnostics=diagnostics)
         if PRESETS[strategy][1]:
             extractor = FeatureExtractor(
                 seed=cfg.extractor_seed,
@@ -143,7 +157,11 @@ def run_cell(
         )
         result = run_training(fed_cfg, shards, test_data)
         advantage = membership_advantage(result.final_params, train_data, test_data)
-        final_accuracy = accuracy(result.final_params, test_data)
+        # the last round already evaluated final_params on test_data
+        if result.records:
+            final_accuracy = result.records[-1].test_accuracy
+        else:
+            final_accuracy = accuracy(result.final_params, test_data)
         row = MetricsRow(
             strategy=strategy,
             sweep_param_name=name,
@@ -184,7 +202,10 @@ def run_sweep(cfg: ExperimentConfig, output_path=None, on_cell=None) -> list[Met
     """Run the full grid in canonical order and write the metrics CSV.
 
     ``on_cell(done, total, row)``, if given, is called after each cell.
+    A missing output directory is reported before the first cell.
     """
+    output_path = output_path or cfg.output
+    check_output_dir(output_path)
     values: list[float | None]
     values = [None] if cfg.sweep == "single" else list(cfg.sweep_values)
     cells = [(s, v, seed) for s in cfg.strategies for v in values for seed in cfg.seeds]
@@ -194,31 +215,58 @@ def run_sweep(cfg: ExperimentConfig, output_path=None, on_cell=None) -> list[Met
         rows.append(row)
         if on_cell is not None:
             on_cell(len(rows), len(cells), row)
-    write_metrics_csv(rows, output_path or cfg.output)
+    write_metrics_csv(rows, output_path)
     return rows
 
 
-def write_metrics_csv(rows: list[MetricsRow], path) -> None:
-    """Atomic rewrite: assemble in a temp file, then rename over the target."""
+def check_output_dir(path) -> None:
+    """Raise ``CrossFedError`` if the directory that would hold ``path`` is
+    missing, or ``path`` is a directory, so a run can fail before its work
+    rather than after it."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    if not os.path.isdir(directory):
+        raise CrossFedError(f"cannot write {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise CrossFedError(f"cannot write {path}: it is a directory")
+
+
+def write_atomic(path, write) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it over
+    ``path``, so a reader never sees a partial file. An ``OSError`` becomes a
+    ``CrossFedError`` that names ``path``; no temp file is left behind."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow(_csv_cells(row, CSV_COLUMNS))
+            write(fh)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise CrossFedError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def _write_csv(path, columns: list[str], records) -> None:
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow(_csv_cells(record, columns))
+
+    write_atomic(path, write)
+
+
+def write_metrics_csv(rows: list[MetricsRow], path) -> None:
+    """The metrics CSV, written atomically."""
+    _write_csv(path, CSV_COLUMNS, rows)
 
 
 def write_round_log(result: TrainingResult, path) -> None:
-    """One flat record per round; the optional side output of ``run``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ROUND_LOG_COLUMNS)
-        for r in result.records:
-            writer.writerow(_csv_cells(r, _ROUND_LOG_COLUMNS))
+    """One flat record per round, written atomically; the optional side
+    output of ``run``. The records must carry the diagnostics."""
+    if any(None in (r.train_accuracy, r.mean_local_loss) for r in result.records):
+        raise InvalidInputError(
+            "round log needs records trained with FederationConfig.diagnostics set"
+        )
+    _write_csv(path, _ROUND_LOG_COLUMNS, result.records)

@@ -38,6 +38,11 @@ class ModelArch:
             raise InvalidInputError(
                 f"hidden_units must be >= 0, got {self.hidden_units}"
             )
+        if self.param_count > np.iinfo(np.intp).max:
+            raise InvalidInputError(
+                f"parameter count {self.param_count} exceeds the largest array size "
+                f"{np.iinfo(np.intp).max}"
+            )
 
     @property
     def param_count(self) -> int:
@@ -244,13 +249,11 @@ def gradient(params: ModelParams, batch: LabeledDataset) -> np.ndarray:
     )
 
 
-def local_train(
-    params: ModelParams, data: LabeledDataset, cfg: TrainConfig
-) -> tuple[ModelParams, float]:
+def local_train(params: ModelParams, data: LabeledDataset, cfg: TrainConfig) -> ModelParams:
     """Mini-batch SGD with per-epoch shuffling seeded from cfg.rng_seed.
 
-    Returns the trained parameters and the final mean loss over ``data``.
-    The input ``params`` is never modified.
+    Returns the trained parameters; ``dataset_loss`` gives their loss over
+    ``data``. The input ``params`` is never modified.
     """
     if data.count == 0:
         raise InvalidInputError("dataset is empty")
@@ -272,8 +275,7 @@ def local_train(
                 raise NumericError(f"non-finite gradient in epoch {epoch}")
             grad *= cfg.learning_rate
             values -= grad
-    trained = ModelParams(params.arch, values)
-    return trained, dataset_loss(trained, data)
+    return ModelParams(params.arch, values)
 
 
 def init_params(arch: ModelArch, seed: int) -> ModelParams:

@@ -190,10 +190,10 @@ def test_criterion_7_feature_augmentation_benefit():
         train = generate(SyntheticSpec("xor", dim=2, samples=400, seed=seed * 10, noise=0.3))
         test = generate(SyntheticSpec("xor", dim=2, samples=400, seed=seed * 10 + 1, noise=0.3))
         tc = TrainConfig(0.5, 150, 32, seed)
-        raw, _ = local_train(init_params(ModelArch(2), seed), train, tc)
+        raw = local_train(init_params(ModelArch(2), seed), train, tc)
         raw_acc = accuracy(raw, test)
         fx = FeatureExtractor(seed=seed, input_dim=2, output_dim=64, gamma=1.0)
-        aug, _ = local_train(
+        aug = local_train(
             init_params(ModelArch(64), seed), augment_dataset(fx, train), tc
         )
         aug_acc = accuracy(aug, augment_dataset(fx, test))

@@ -31,7 +31,7 @@ def test_generate_deterministic():
 def test_separated_blobs_are_learnable():
     train = generate(SyntheticSpec("blobs", dim=4, samples=500, seed=2, separation=6.0))
     test = generate(SyntheticSpec("blobs", dim=4, samples=500, seed=3, separation=6.0))
-    model, _ = local_train(
+    model = local_train(
         init_params(ModelArch(4), 0), train, TrainConfig(0.1, 20, 32, 0)
     )
     assert accuracy(model, test) >= 0.95

@@ -57,7 +57,7 @@ def test_augment_preserves_count_order_labels():
 
 def _train_accuracy_on(train, test, hidden_units=0, lr=0.5, epochs=150, seed=1):
     arch = ModelArch(train.dim, hidden_units)
-    trained, _ = local_train(
+    trained = local_train(
         init_params(arch, seed), train, TrainConfig(lr, epochs, 32, seed)
     )
     return accuracy(trained, test)

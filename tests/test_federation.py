@@ -9,6 +9,8 @@ from crossfed.datasets import PartitionScheme, SyntheticSpec, generate, partitio
 from crossfed.errors import CryptoRangeError, InvalidInputError, RoundError
 from crossfed.features import FeatureExtractor, augment_dataset
 from crossfed.federation import (
+    PRESETS,
+    STRATEGIES,
     FederationConfig,
     NodeState,
     fedavg_aggregate,
@@ -200,7 +202,7 @@ def test_smc_round_tracks_fedavg_within_codec_bound():
 def test_round_records_are_deterministic():
     shards, test = _blob_setting()
     cfg = FederationConfig(5, 4, "dp-fl", _train_cfg(), target_accuracy=1.0, seed=6,
-                           dp=DpConfig(2.0, 1.0, rounds=4))
+                           dp=DpConfig(2.0, 1.0, rounds=4), diagnostics=True)
     a = run_training(cfg, shards, test)
     b = run_training(cfg, shards, test)
     assert len(a.records) == len(b.records)
@@ -211,6 +213,30 @@ def test_round_records_are_deterministic():
         assert ra.mean_local_loss == rb.mean_local_loss
         assert ra.simulated_millis == rb.simulated_millis
         assert ra.simulated_comm_bytes == rb.simulated_comm_bytes
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_diagnostics_change_no_other_record_field(strategy):
+    # four rounds; every strategy but dp-fl reaches the target in the last
+    shards, test = _blob_setting(samples=200, k=3, separation=3.0)
+    protection = PRESETS[strategy][0]
+    base = FederationConfig(
+        3, 4, strategy, _train_cfg(), target_accuracy=0.9, seed=7,
+        dp=DpConfig(2.0, 1.0, rounds=4) if protection == "dp" else None,
+        he_bits=256 if protection == "he" else None,
+    )
+    plain = run_training(base, shards, test)
+    full = run_training(replace(base, diagnostics=True), shards, test)
+    assert plain.rounds_to_target == full.rounds_to_target
+    assert plain.final_params.values.tobytes() == full.final_params.values.tobytes()
+    assert len(plain.records) == len(full.records) == 4
+    for rp, rf in zip(plain.records, full.records):
+        assert rp.global_params.values.tobytes() == rf.global_params.values.tobytes()
+        assert (rp.round_index, rp.test_accuracy) == (rf.round_index, rf.test_accuracy)
+        assert (rp.simulated_millis, rp.simulated_comm_bytes) == (
+            rf.simulated_millis, rf.simulated_comm_bytes)
+        assert rp.train_accuracy is None and rp.mean_local_loss is None
+        assert 0.0 <= rf.train_accuracy <= 1.0 and rf.mean_local_loss > 0.0
 
 
 def test_training_stops_immediately_with_zero_target():

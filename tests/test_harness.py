@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import errno
 import json
 import os
 import subprocess
@@ -9,11 +10,12 @@ from unittest import mock
 
 import pytest
 
-from crossfed import features, harness, paillier
+from crossfed import cli, features, federation, harness, paillier
 from crossfed.cli import main
 from crossfed.config import SWEEP_KINDS, parse_config_text
+from crossfed.errors import CrossFedError, InvalidInputError
 from crossfed.federation import PRESETS, STRATEGIES, run_training
-from crossfed.harness import CSV_COLUMNS, run_cell, run_sweep
+from crossfed.harness import CSV_COLUMNS, run_cell, run_sweep, write_round_log
 
 SMALL = """\
 [experiment]
@@ -214,6 +216,46 @@ def test_swept_value_reaches_the_cell_with_its_field_type(tmp_path, monkeypatch,
     (fed_cfg,) = built
     assert read(fed_cfg) == held and type(read(fed_cfg)) is type(held)
     assert cfg == parse_config_text(text)  # the sweep's own config is untouched
+
+
+def test_sweep_evaluates_only_the_test_set_each_round(tmp_path, monkeypatch):
+    text = SMALL.format(out=tmp_path / "x.csv").replace(
+        "strategies = fedavg", "strategies = fedavg, smc-fl, dp-fl")
+    calls = {"loss": 0, "accuracy": 0, "round": 0}
+
+    def counted(key, original):
+        def spy(*args):
+            calls[key] += 1
+            return original(*args)
+        return spy
+
+    monkeypatch.setattr(federation, "dataset_loss", counted("loss", federation.dataset_loss))
+    monkeypatch.setattr(federation, "accuracy", counted("accuracy", federation.accuracy))
+    monkeypatch.setattr(federation, "run_round", counted("round", federation.run_round))
+    rows = run_sweep(parse_config_text(text))
+    assert [r.status for r in rows] == ["ok"] * 3
+    assert calls["round"] > 0
+    assert calls == {"loss": 0, "accuracy": calls["round"], "round": calls["round"]}
+
+
+def test_round_log_refuses_records_without_diagnostics(tmp_path):
+    cfg = parse_config_text(SMALL.format(out=tmp_path / "x.csv"))
+    _, result = run_cell(cfg, "fedavg", None, 1)
+    log = tmp_path / "rounds.csv"
+    with pytest.raises(InvalidInputError, match="diagnostics"):
+        write_round_log(result, log)
+    assert os.listdir(tmp_path) == []
+
+
+def test_oversized_hidden_layer_ends_in_its_cell_status(tmp_path):
+    out = tmp_path / "h.csv"
+    text = SMALL.format(out=out).replace(
+        "sweep = single", "sweep = hidden\nsweep_values = 4, 1e300")
+    rows = run_sweep(parse_config_text(text))
+    assert [r.sweep_param_value for r in rows] == [4.0, 1e300]
+    assert rows[0].status == "ok"
+    assert rows[1].status.startswith("error: parameter count ")
+    assert [r[-1] for r in _read_rows(out)[1:]] == [r.status for r in rows]
 
 
 # --- reuse of the key holder's randomisers across cells ----------------------
@@ -428,6 +470,64 @@ def test_cli_run_with_round_log(tmp_path, capsys):
     content = _read_rows(log)
     assert content[0][0] == "round_index"
     assert len(content) == 1 + 3  # header + max_rounds records
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["sweep", "run"])
+def test_cli_unwritable_output_fails_before_any_cell(
+    tmp_path, monkeypatch, capsys, command, where
+):
+    conf = tmp_path / "exp.ini"
+    conf.write_text(SMALL.format(out=tmp_path / "m.csv"))
+    target = tmp_path / "missing" / "out.csv"
+    if where == "directory":
+        target = tmp_path / "taken"
+        target.mkdir()
+    cells = []
+
+    def spy(*args, **kwargs):
+        cells.append(args)
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_cell", spy)
+    monkeypatch.setattr(cli, "run_cell", spy)
+    flag = "-o" if command == "sweep" else "--round-log"
+    assert main([command, "-c", str(conf), flag, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert cells == []
+    left = ["exp.ini", "taken"] if where == "directory" else ["exp.ini"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == left
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_cli_keygen_reports_an_unwritable_output(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "keys.json"
+    if where == "directory":
+        target = tmp_path / "taken"
+        target.mkdir()
+    assert main(["keygen", "--bits", "256", "--seed", "7", "-o", str(target)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+    left = ["taken"] if where == "directory" else []
+    assert [p.name for p in tmp_path.rglob("*")] == left
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    out = tmp_path / "m.csv"
+    out.write_text("old\n")
+
+    def write(fh):
+        fh.write("partial")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with pytest.raises(CrossFedError, match=f"cannot write {out}: No space left on device"):
+        harness.write_atomic(out, write)
+    # and a rename over a directory fails after the whole write
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(CrossFedError, match="cannot write .*taken: Is a directory"):
+        harness.write_atomic(tmp_path / "taken", lambda fh: fh.write("new\n"))
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["m.csv", "taken"]
 
 
 def test_cli_print_config_roundtrip(tmp_path, capsys):

@@ -193,7 +193,7 @@ def test_local_train_zero_learning_rate_identity():
     rng = np.random.default_rng(5)
     params, data = random_case(rng, 2)
     cfg = TrainConfig(0.0, 3, 4, rng_seed=9)
-    trained, _ = local_train(params, data, cfg)
+    trained = local_train(params, data, cfg)
     assert np.array_equal(trained.values, params.values)
 
 
@@ -205,7 +205,7 @@ def test_local_train_single_step_closed_form():
     lr = 0.1
     params = make_params(ModelArch(2), [*w, b])
     data = LabeledDataset([x], [1])
-    trained, _ = local_train(params, data, TrainConfig(lr, 1, 1, rng_seed=0))
+    trained = local_train(params, data, TrainConfig(lr, 1, 1, rng_seed=0))
     p = 1.0 / (1.0 + math.exp(-(w @ x + b)))
     expected = np.array([*(w - lr * (p - 1.0) * x), b - lr * (p - 1.0)])
     np.testing.assert_allclose(trained.values, expected, atol=1e-12)
@@ -214,7 +214,7 @@ def test_local_train_single_step_closed_form():
 def test_local_train_converges_on_separable_blobs():
     data = generate(SyntheticSpec("blobs", dim=2, samples=200, seed=5, separation=6.0))
     params = init_params(ModelArch(2), seed=1)
-    trained, _ = local_train(params, data, TrainConfig(0.05, 50, 32, rng_seed=1))
+    trained = local_train(params, data, TrainConfig(0.05, 50, 32, rng_seed=1))
     assert accuracy(trained, data) >= 0.95
 
 
@@ -223,10 +223,10 @@ def test_local_train_deterministic_and_pure():
     params, data = random_case(rng, 4, batch=32)
     before = params.values.copy()
     cfg = TrainConfig(0.05, 3, 8, rng_seed=77)
-    first, loss1 = local_train(params, data, cfg)
-    second, loss2 = local_train(params, data, cfg)
+    first = local_train(params, data, cfg)
+    second = local_train(params, data, cfg)
     assert np.array_equal(first.values, second.values)
-    assert loss1 == loss2
+    assert dataset_loss(first, data) == dataset_loss(second, data)
     assert np.array_equal(params.values, before)  # input untouched
 
 
@@ -245,10 +245,8 @@ def test_full_batch_loss_monotone_for_small_lr():
     params = init_params(ModelArch(5), seed=2)
     losses = [dataset_loss(params, data)]
     for _ in range(20):
-        params, loss = local_train(
-            params, data, TrainConfig(0.1, 1, data.count, rng_seed=0)
-        )
-        losses.append(loss)
+        params = local_train(params, data, TrainConfig(0.1, 1, data.count, rng_seed=0))
+        losses.append(dataset_loss(params, data))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -327,10 +325,10 @@ def test_local_train_bitwise_equals_allocating_loop(
             "larger": count + 3}[batch]
     cfg = TrainConfig(lr, epochs, size, rng_seed=seed)
     before = params.values.copy()
-    trained, loss = local_train(params, data, cfg)
+    trained = local_train(params, data, cfg)
     values, expected_loss = _oracle_local_train(params, data, cfg)
     assert trained.values.tobytes() == values.tobytes()
-    assert repr(loss) == repr(expected_loss)
+    assert repr(dataset_loss(trained, data)) == repr(expected_loss)
     assert params.values.tobytes() == before.tobytes()
 
 
@@ -380,6 +378,15 @@ def test_delta_arch_mismatch():
 def test_param_count_formula():
     assert ModelArch(7).param_count == 8
     assert ModelArch(7, 3).param_count == 3 * 8 + 4
+
+
+def test_arch_rejects_a_parameter_count_numpy_cannot_index():
+    largest = np.iinfo(np.intp).max
+    assert ModelArch(largest - 1).param_count == largest
+    with pytest.raises(InvalidInputError, match=f"parameter count {largest + 1} "):
+        ModelArch(largest)
+    with pytest.raises(InvalidInputError, match="parameter count"):
+        ModelArch(4, int(1e300))
 
 
 def test_params_reject_nan_and_bad_shape():

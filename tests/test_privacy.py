@@ -431,7 +431,7 @@ def test_overfit_model_is_exposed():
     rng = np.random.default_rng(10)
     members = LabeledDataset(rng.normal(size=(10, 400)), rng.integers(0, 2, 10))
     nonmembers = LabeledDataset(rng.normal(size=(500, 400)), rng.integers(0, 2, 500))
-    overfit, _ = local_train(
+    overfit = local_train(
         init_params(ModelArch(400), 0), members, TrainConfig(0.5, 200, 10, 0)
     )
     assert membership_advantage(overfit, members, nonmembers) >= 0.5
